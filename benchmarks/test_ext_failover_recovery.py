@@ -1,32 +1,20 @@
-"""Extension bench — gateway failover: recovery time, loss, and WAL tax.
+"""Extension bench — gateway failover: recovery time and acked loss.
 
-Two acceptance bars from the durability PR:
+4 durable shards under steady load, one crashed mid-run.  The failure
+detector must declare it dead within its timeout, the gateway must
+restore it from checkpoint + WAL replay under the same shard id, and no
+acked upload may be lost (every result the gateway accepted reaches a
+shard model by finalize).  Pre/post-crash throughput is reported, not
+asserted: wall-clock bars live in ``bench/`` (``durable_d16k`` vs
+``served_d16k`` ``uploads_per_s``, ``durability.wal_append_us``), where
+they are measured with warm-up and paired medians.
 
-1. **Failover recovery** — 4 durable shards under steady load, one
-   crashed mid-run.  The failure detector must declare it dead within
-   its timeout, the gateway must restore it from checkpoint + WAL replay
-   under the same shard id, no acked upload may be lost (every result
-   the gateway accepted reaches a shard model by finalize), and the
-   post-failover phase must sustain >= 90% of pre-crash throughput —
-   recovery must not leave a degraded tier behind.
-
-2. **WAL hot-path overhead** — write-ahead logging every delivery (plus
-   checkpoints at the default cadence) must keep >= 95% of the
-   undurable ``handle_result`` throughput.  Measured as the median of
-   per-pair throughput ratios over N back-to-back (plain, durable)
-   pairs with alternating order: pairing divides machine-wide drift
-   out of each ratio and the median sheds one-off scheduler stalls.
-
-Both write their numbers to ``BENCH_failover.json`` (picked up by the
-nightly artifact glob).  Set ``FAILOVER_SMOKE=1`` for a reduced run with
-slack bars (CI smoke: proves the machinery, not the number).
+Numbers land in ``BENCH_failover.json`` (picked up by the nightly
+artifact glob).  Set ``BENCH_FULL=1`` for the paper-size run.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
 import time
 from pathlib import Path
 
@@ -40,32 +28,15 @@ from repro.profiler import IProf, SLO
 from repro.server import FleetServer
 from repro.server.protocol import TaskAssignment, TaskRequest, TaskResult
 
-from conftest import fmt_row
+from conftest import BENCH_FULL, fmt_row, record_artifact
 
-_SMOKE = bool(os.environ.get("FAILOVER_SMOKE"))
-DIM = 128 if _SMOKE else 512
+DIM = 512 if BENCH_FULL else 128
 NUM_LABELS = 10
 WORKERS = 32
 SHARDS = 4
-ROUNDS = 12 if _SMOKE else 40  # measured rounds per phase
+ROUNDS = 40 if BENCH_FULL else 12  # measured rounds per phase
 DETECTOR_TIMEOUT_S = 30.0  # virtual seconds of silence before dead
 ROUND_GAP_S = 1.0  # virtual seconds between load rounds
-MIN_POST_THROUGHPUT = 0.85 if _SMOKE else 0.90
-# WAL overhead sub-benchmark.
-WAL_UPLOADS = 1_600 if _SMOKE else 8_000
-WAL_REPEATS = 3 if _SMOKE else 7
-MIN_WAL_THROUGHPUT = 0.85 if _SMOKE else 0.95
-
-_ARTIFACT = Path("BENCH_failover.json")
-
-
-def _record_artifact(update: dict) -> None:
-    merged = {}
-    if _ARTIFACT.exists():
-        merged = json.loads(_ARTIFACT.read_text())
-    merged.update(update)
-    merged["smoke"] = _SMOKE
-    _ARTIFACT.write_text(json.dumps(merged, indent=1))
 
 
 def _features() -> DeviceFeatures:
@@ -182,8 +153,7 @@ def test_failover_recovery(report, tmp_path):
         f"{WORKERS} workers, crash 1 shard mid-load",
         fmt_row("  throughput pre/post (uploads/s)", [pre_rate, post_rate],
                 precision=0),
-        f"  post/pre throughput                {ratio:.4f} "
-        f"(bar >= {MIN_POST_THROUGHPUT})",
+        f"  post/pre throughput                {ratio:.4f}",
         f"  recovery (virtual s)               {recovery_s:.1f} "
         f"(detector timeout {DETECTOR_TIMEOUT_S:.0f})",
         f"  acked uploads applied              {applied}/{received}",
@@ -191,7 +161,8 @@ def test_failover_recovery(report, tmp_path):
         f"  replayed results at restore        {done[0].replayed_results} "
         f"(+{done[0].redelivered_results} redelivered)",
     )
-    _record_artifact(
+    record_artifact(
+        "failover",
         {
             "pre_throughput_uploads_s": pre_rate,
             "post_throughput_uploads_s": post_rate,
@@ -202,102 +173,5 @@ def test_failover_recovery(report, tmp_path):
             "unavailable_requests": unavailable,
             "replayed_results": done[0].replayed_results,
             "redelivered_results": done[0].redelivered_results,
-        }
-    )
-    assert ratio >= MIN_POST_THROUGHPUT, (
-        f"post-failover throughput fell to {ratio:.1%} of pre-crash "
-        f"(need >= {MIN_POST_THROUGHPUT:.0%})"
-    )
-
-
-def _stream() -> list[TaskResult]:
-    rng = np.random.default_rng(12)
-    features = _features()
-    return [
-        TaskResult(
-            worker_id=i % WORKERS,
-            device_model="Galaxy S7",
-            features=features,
-            pull_step=0,
-            gradient=rng.normal(size=DIM),
-            label_counts=np.ones(NUM_LABELS),
-            batch_size=8,
-            computation_time_s=1.0,
-            energy_percent=0.01,
-        )
-        for i in range(WAL_UPLOADS)
-    ]
-
-
-def _hotpath_gateway(root: Path | None) -> Gateway:
-    return Gateway.from_factory(
-        1,
-        _shard_factory,
-        GatewayConfig(batch_size=8, batch_deadline_s=1e9, sync_every_s=1e9),
-        cost_model=AggregationCostModel(per_flush_s=0.01, per_result_s=0.001),
-        # Default checkpoint cadence: the bar covers WAL appends AND the
-        # periodic snapshot cost, not an idealized log-only path.
-        durability=DurabilitySpec(root_dir=root) if root is not None else None,
-    )
-
-
-def _drive_hotpath(durable: bool, stream: list[TaskResult], root: Path) -> float:
-    """Sustained handle_result throughput (uploads per wall second)."""
-    gateway = _hotpath_gateway(root if durable else None)
-    start = time.perf_counter()
-    for i, result in enumerate(stream):
-        gateway.handle_result(result, now=i * 1e-4)
-    elapsed = time.perf_counter() - start
-    if durable:
-        shard_id = sorted(gateway.shards)[0]
-        wal = gateway.durability.shard(shard_id).wal
-        assert wal.records_written >= len(stream) // 8
-        assert gateway.durability.checkpoints_written > 1
-        gateway.durability.close()
-        # Free this run's log before the next one: tens of megabytes of
-        # retained dirty pages put the box under writeback/reclaim
-        # pressure that would tax LATER runs — an accumulation artifact
-        # of back-to-back benchmarking, not a property of the WAL.
-        shutil.rmtree(root, ignore_errors=True)
-    return len(stream) / elapsed
-
-
-def test_wal_hotpath_overhead(report, tmp_path):
-    stream = _stream()
-    _drive_hotpath(True, stream, tmp_path / "warmup")  # warmup
-    plain_rates, durable_rates = [], []
-    for repeat in range(WAL_REPEATS):
-        # Alternate which variant runs first so the box's slow drift is
-        # not charged to whichever variant always ran second.
-        order = [False, True] if repeat % 2 == 0 else [True, False]
-        for durable in order:
-            rate = _drive_hotpath(
-                durable, stream, tmp_path / f"run-{repeat}-{int(durable)}"
-            )
-            (durable_rates if durable else plain_rates).append(rate)
-    best_plain, best_durable = max(plain_rates), max(durable_rates)
-    # Median of per-pair ratios: the two runs of a pair sit seconds
-    # apart, so machine-wide drift divides out of each ratio, and the
-    # median sheds the pairs a scheduler stall landed in.
-    ratios = sorted(d / p for d, p in zip(durable_rates, plain_rates))
-    relative = ratios[len(ratios) // 2]
-
-    report(
-        f"WAL hot-path overhead, {WAL_UPLOADS} uploads x {DIM}-dim "
-        f"(default checkpoint cadence, median of {WAL_REPEATS} pairs)",
-        fmt_row("  throughput plain   (uploads/s)", plain_rates, precision=0),
-        fmt_row("  throughput durable (uploads/s)", durable_rates, precision=0),
-        f"  relative throughput (durable/plain) {relative:.4f} "
-        f"(bar >= {MIN_WAL_THROUGHPUT})",
-    )
-    _record_artifact(
-        {
-            "wal_plain_uploads_s": best_plain,
-            "wal_durable_uploads_s": best_durable,
-            "wal_relative_throughput": relative,
-        }
-    )
-    assert relative >= MIN_WAL_THROUGHPUT, (
-        f"durable shards kept only {relative:.1%} of plain throughput "
-        f"(need >= {MIN_WAL_THROUGHPUT:.0%})"
+        },
     )

@@ -1,68 +1,34 @@
-# repro: wall-clock
-"""Extension bench — the device-facing frontend serves at in-process cost.
+"""Extension bench — the device-facing frontend holds a fleet, loses nothing.
 
-Two claims, measured separately over real loopback TCP:
-
-* **scale** — the asyncio frontend holds hundreds of concurrent device
-  connections through handshake, saturating uploads and graceful drain,
-  and loses **zero acked uploads** even when a slice of the fleet is
-  hard-killed mid-run (transport aborts, no GOODBYE): every client-side
-  ack has a matching gateway receipt, and after drain
-  ``results_applied == results_received``;
-* **throughput** — pushing uploads through framing + sockets + asyncio
-  costs little: with micro-batching at the gateway (batch ≥ 8), the
-  frontend path sustains at least 85 % of the throughput of calling
-  ``Gateway.handle_result`` directly with the *same* pre-built results.
+Measured over real loopback TCP: the asyncio frontend holds hundreds of
+concurrent device connections through handshake, saturating uploads and
+graceful drain, and loses **zero acked uploads** even when a slice of
+the fleet is hard-killed mid-run (transport aborts, no GOODBYE): every
+client-side ack has a matching gateway receipt, and after drain
+``results_applied == results_received``.  What the served path *costs*
+is ``bench/``'s job (``served_*`` workloads and the ``frontend.*``
+ledger rows), not a ratio assert here.
 
 Numbers land in ``BENCH_frontend.json`` (nightly artifact glob).  Set
-``FRONTEND_SMOKE=1`` for the reduced CI configuration with slack bars —
-shared runners must not fail the fail-fast suite on a wall-clock ratio.
+``BENCH_FULL=1`` for the 200-connection acceptance configuration.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import numpy as np
 
 from repro.api import FleetBuilder
-from repro.devices.device import DeviceFeatures
 from repro.frontend.harness import run_loopback_sync
 from repro.frontend.loadgen import LoadGenConfig
-from repro.frontend.server import FrontendConfig
 from repro.gateway import Gateway, GatewayConfig
-from repro.server.protocol import TaskResult
 
-from conftest import fmt_series
+from conftest import BENCH_FULL, record_artifact
 
-_SMOKE = bool(os.environ.get("FRONTEND_SMOKE"))
-
-# Scale claim: the acceptance bar is >= 200 live device connections.
-SCALE_DEVICES = 48 if _SMOKE else 200
-SCALE_UPLOADS = 3 if _SMOKE else 4
-SCALE_DIM = 256 if _SMOKE else 512
+# The acceptance bar is >= 200 live device connections.
+SCALE_DEVICES = 200 if BENCH_FULL else 48
+SCALE_UPLOADS = 4 if BENCH_FULL else 3
+SCALE_DIM = 512 if BENCH_FULL else 256
 ABORT_FRACTION = 0.15
-
-# Throughput claim: same results through both paths, batch >= 8.
-TP_DEVICES = 8 if _SMOKE else 16
-TP_UPLOADS = 16 if _SMOKE else 32
-TP_DIM = 4096 if _SMOKE else 16384
-TP_BATCH = 8
-MIN_RATIO = 0.50 if _SMOKE else 0.85
-
-_ARTIFACT = Path("BENCH_frontend.json")
-
-
-def _record_artifact(update: dict) -> None:
-    merged = {}
-    if _ARTIFACT.exists():
-        merged = json.loads(_ARTIFACT.read_text())
-    merged.update(update)
-    merged["smoke"] = _SMOKE
-    _ARTIFACT.write_text(json.dumps(merged, indent=1))
 
 
 def _gateway(dimension: int, batch_size: int) -> Gateway:
@@ -79,41 +45,6 @@ def _gateway(dimension: int, batch_size: int) -> Gateway:
             batch_size=batch_size, batch_deadline_s=1e9, sync_every_s=1e9
         ),
     )
-
-
-def _features() -> DeviceFeatures:
-    return DeviceFeatures(
-        available_memory_mb=1024.0,
-        total_memory_mb=3072.0,
-        temperature_c=30.0,
-        sum_max_freq_ghz=8.0,
-        energy_per_cpu_second=2e-4,
-    )
-
-
-def _prebuilt_results(
-    devices: int, uploads: int, dimension: int, seed: int = 11
-) -> dict[int, list[TaskResult]]:
-    """The same upload set for both paths: per-device result queues."""
-    rng = np.random.default_rng(seed)
-    features = _features()
-    return {
-        worker_id: [
-            TaskResult(
-                worker_id=worker_id,
-                device_model="Galaxy S7",
-                features=features,
-                pull_step=0,
-                gradient=rng.standard_normal(dimension),
-                label_counts=np.ones(10),
-                batch_size=TP_BATCH,
-                computation_time_s=1.0,
-                energy_percent=0.01,
-            )
-            for _ in range(uploads)
-        ]
-        for worker_id in range(devices)
-    }
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +84,8 @@ def test_ext_frontend_loopback_scale(benchmark, report):
         f"{result.uploads_per_s:.0f} acked uploads/s, "
         f"drain {result.drain['drain_s'] * 1e3:.1f} ms",
     )
-    _record_artifact(
+    record_artifact(
+        "frontend",
         {
             "scale_devices": SCALE_DEVICES,
             "scale_peak_connections": peak,
@@ -161,7 +93,7 @@ def test_ext_frontend_loopback_scale(benchmark, report):
             "scale_received": result.results_received,
             "scale_applied": result.results_applied,
             "scale_uploads_per_s": result.uploads_per_s,
-        }
+        },
     )
 
     # Every device connected before traffic started: the frontend held
@@ -173,79 +105,3 @@ def test_ext_frontend_loopback_scale(benchmark, report):
     assert result.stats.acked <= result.results_received
     assert result.results_applied == result.results_received
     assert result.stats.acked > 0
-
-
-# ----------------------------------------------------------------------
-# Throughput: frontend path vs direct Gateway.handle_result, batch >= 8
-# ----------------------------------------------------------------------
-def _direct_throughput(results: dict[int, list[TaskResult]]) -> float:
-    gateway = _gateway(TP_DIM, TP_BATCH)
-    flat = [r for queue in results.values() for r in queue]
-    start = time.perf_counter()
-    for i, result in enumerate(flat):
-        gateway.handle_result(result, now=i * 1e-4)
-    gateway.finalize(now=len(flat) * 1e-4)
-    wall = time.perf_counter() - start
-    assert gateway.results_applied == len(flat)
-    return len(flat) / wall
-
-
-def _frontend_throughput(results: dict[int, list[TaskResult]]) -> float:
-    gateway = _gateway(TP_DIM, TP_BATCH)
-    queues = {wid: list(queue) for wid, queue in results.items()}
-    config = LoadGenConfig(
-        devices=TP_DEVICES,
-        mode="push",
-        uploads_per_device=TP_UPLOADS,
-        window=TP_BATCH * 2,
-        dimension=TP_DIM,
-        compression_level=0,
-        seed=5,
-    )
-    report = run_loopback_sync(
-        gateway,
-        config,
-        frontend_config=FrontendConfig(downlink_level=0),
-        result_factory=lambda wid, assignment: queues[wid].pop(0),
-    )
-    total = TP_DEVICES * TP_UPLOADS
-    assert report.stats.acked == total, (
-        f"every pre-built upload should be acked "
-        f"({report.stats.acked}/{total})"
-    )
-    assert report.results_applied == report.results_received == total
-    return report.stats.acked / report.wall_s
-
-
-def test_ext_frontend_loopback_throughput(benchmark, report):
-    results = _prebuilt_results(TP_DEVICES, TP_UPLOADS, TP_DIM)
-
-    def _run():
-        direct = _direct_throughput(results)
-        served = _frontend_throughput(results)
-        return direct, served
-
-    direct, served = benchmark.pedantic(_run, rounds=1, iterations=1)
-    ratio = served / direct
-    report(
-        "",
-        "Extension — frontend loopback: served vs in-process throughput "
-        f"(dim {TP_DIM}, batch {TP_BATCH}, {TP_DEVICES * TP_UPLOADS} uploads)",
-        f"  direct/served uploads per second: "
-        f"{fmt_series([direct, served], 0)}  (ratio {ratio:.2f}, "
-        f"bar {MIN_RATIO:.2f})",
-    )
-    _record_artifact(
-        {
-            "tp_direct_uploads_per_s": direct,
-            "tp_served_uploads_per_s": served,
-            "tp_ratio": ratio,
-        }
-    )
-
-    # Framing + sockets + asyncio must not dominate: the served path
-    # keeps at least MIN_RATIO of the in-process throughput.
-    assert ratio >= MIN_RATIO, (
-        f"served path at {ratio:.2f} of direct throughput "
-        f"(direct {direct:.0f}/s, served {served:.0f}/s)"
-    )

@@ -26,12 +26,11 @@ themselves — the vectorized and oracle backends fold numerically
 equivalent models.  (The legacy loop is excluded from the equivalence
 check: its mid-batch drift is precisely the bug.)
 
-Set ``HOTPATH_SMOKE=1`` to run a reduced-size configuration (CI smoke).
+Set ``BENCH_FULL=1`` for the paper-size configuration.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 
@@ -40,17 +39,16 @@ import numpy as np
 from repro.core.adasgd import AppliedUpdate, GradientUpdate, make_adasgd
 from repro.core.dampening import ExponentialDampening, InverseDampening
 
-from conftest import fmt_row
+from conftest import BENCH_FULL, fmt_row
 
-_SMOKE = bool(os.environ.get("HOTPATH_SMOKE"))
-DIM = 2_500 if _SMOKE else 10_000
+DIM = 10_000 if BENCH_FULL else 2_500
 NUM_LABELS = 10
-BATCH_SIZES = (1, 8, 32) if _SMOKE else (1, 2, 4, 8, 16, 32, 64)
+BATCH_SIZES = (1, 2, 4, 8, 16, 32, 64) if BENCH_FULL else (1, 8, 32)
 # Per configuration: enough batches to stabilize timing.
-TARGET_UPDATES = 512 if _SMOKE else 2048
-# Smoke mode proves the plumbing on noisy shared CI runners, so its bar
-# is slack; the full run enforces the real acceptance bar.
-MIN_SPEEDUP_AT_32 = 3.0 if _SMOKE else 5.0
+TARGET_UPDATES = 2048 if BENCH_FULL else 512
+# The reduced run proves the plumbing on noisy shared CI runners, so its
+# bar is slack; the full run enforces the real acceptance bar.
+MIN_SPEEDUP_AT_32 = 5.0 if BENCH_FULL else 3.0
 
 
 # ----------------------------------------------------------------------

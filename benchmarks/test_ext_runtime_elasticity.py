@@ -12,12 +12,10 @@ Two claims, measured on the virtual clock:
   (parameters, applied log, rejection counts), so the runtime adds
   concurrency structure without forking the math.
 
-Set ``RUNTIME_SMOKE=1`` for the reduced CI configuration.
+Set ``BENCH_FULL=1`` for the paper-size configuration.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -26,19 +24,17 @@ from repro.devices.device import DeviceFeatures
 from repro.gateway import AggregationCostModel, Gateway, GatewayConfig
 from repro.server.protocol import TaskAssignment, TaskRequest, TaskResult
 
-from conftest import fmt_series
+from conftest import BENCH_FULL, fmt_series
 
-_SMOKE = bool(os.environ.get("RUNTIME_SMOKE"))
-
-GRADIENT_DIM = 64 if _SMOKE else 256
+GRADIENT_DIM = 256 if BENCH_FULL else 64
 STATIC_SHARDS = (1, 2, 4, 8)
 MAX_SHARDS = 8
 RATE_PER_SHARD = 12.0  # admitted requests/s each shard's bucket share buys
 # Arrival phases: warm-up, 4× load step, cool-down (rate/s, duration s).
 PHASES = (
-    ((20.0, 20.0), (80.0, 40.0), (4.0, 20.0))
-    if _SMOKE
-    else ((20.0, 40.0), (80.0, 80.0), (4.0, 30.0))
+    ((20.0, 40.0), (80.0, 80.0), (4.0, 30.0))
+    if BENCH_FULL
+    else ((20.0, 20.0), (80.0, 40.0), (4.0, 20.0))
 )
 # One aggregation pass costs 0.2s + 0.01s per gradient: a lane saturates
 # near 28 results/s at batch 8, so shard count genuinely bounds capacity.
@@ -192,7 +188,7 @@ def test_ext_runtime_single_worker_determinism(benchmark, report):
         )
         rng = np.random.default_rng(41)
         features = _features()
-        for i in range(400 if not _SMOKE else 150):
+        for i in range(400 if BENCH_FULL else 150):
             result = TaskResult(
                 worker_id=i % 32,
                 device_model="Galaxy S7",

@@ -23,13 +23,12 @@ same gradients, same shards; only placement differs:
 * fast devices stay on their hash homes (the router's steered set is
   exactly the slow cohort).
 
-Set ``ROUTING_SMOKE=1`` for the reduced CI configuration.
+Set ``BENCH_FULL=1`` for the paper-size configuration.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 
 import numpy as np
 
@@ -38,13 +37,11 @@ from repro.devices.device import DeviceFeatures
 from repro.gateway import AggregationCostModel, Gateway, GatewayConfig
 from repro.server.protocol import TaskAssignment, TaskRequest, TaskResult
 
-from conftest import fmt_series
+from conftest import BENCH_FULL, fmt_series
 
-_SMOKE = bool(os.environ.get("ROUTING_SMOKE"))
-
-GRADIENT_DIM = 32 if _SMOKE else 128
+GRADIENT_DIM = 128 if BENCH_FULL else 32
 SHARDS = 3
-HORIZON_S = 300.0 if _SMOKE else 900.0
+HORIZON_S = 900.0 if BENCH_FULL else 300.0
 SLO_S = 1.0
 NETWORK_S = 0.5
 FAST_THINK_S = 1.0
@@ -54,12 +51,12 @@ SLOW_THINK_S = 4.0
 # time (and its measured round trip) blows through the 1 s SLO deadline.
 FAST_SLOPE = 0.01
 SLOW_SLOPE = 15.0
-FAST_WORKERS = list(range(16 if _SMOKE else 32))
+FAST_WORKERS = list(range(32 if BENCH_FULL else 16))
 # Half the fleet is the old-device cohort (the paper's motivation: real
 # fleets skew old).  The id ranges are arbitrary but fixed; their hash
 # homes concentrate on the fast-heavy shard, which is exactly the
 # pathology identity routing cannot see.
-SLOW_WORKERS = list(range(1016, 1032) if _SMOKE else range(1352, 1384))
+SLOW_WORKERS = list(range(1352, 1384) if BENCH_FULL else range(1016, 1032))
 COST = AggregationCostModel(per_flush_s=0.2, per_result_s=0.01)
 
 FAST_FEATURES = DeviceFeatures(

@@ -315,7 +315,7 @@ class FleetBuilder:
         Pass a ready :class:`RuntimeSpec`, or keyword knobs (``mode``,
         ``executor``, ``workers``, ``queue_capacity``, ``autoscale``) to
         build one.  The runtime rides on the :class:`ServerSpec` so
-        ``Gateway.from_spec(n, spec)`` assembles the async lanes and the
+        ``Gateway.from_spec(n, spec)`` assembles the lanes and the
         autoscaler without a separate argument; ``build()`` ignores it.
         """
         if spec is not None and kwargs:

@@ -286,26 +286,24 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
         if args.routing == "deadline"
         else None
     )
-    runtime = None
-    if args.runtime == "async" or args.autoscale or routing is not None:
-        policy = None
-        if args.autoscale:
-            policy = ElasticityPolicy(
-                min_shards=1,
-                max_shards=args.max_shards,
-                window_s=args.autoscale_window,
-                cooldown_s=args.autoscale_window,
-                admission_rate_per_shard=args.admission_rate,
-            )
-            if args.admission_rate is not None:
-                admission_rate = args.admission_rate * args.shards
-        runtime = RuntimeSpec(
-            mode=args.runtime,
-            executor="virtual",
-            queue_capacity=args.queue_capacity,
-            autoscale=policy,
-            routing=routing,
+    policy = None
+    if args.autoscale:
+        policy = ElasticityPolicy(
+            min_shards=1,
+            max_shards=args.max_shards,
+            window_s=args.autoscale_window,
+            cooldown_s=args.autoscale_window,
+            admission_rate_per_shard=args.admission_rate,
         )
+        if args.admission_rate is not None:
+            admission_rate = args.admission_rate * args.shards
+    runtime = RuntimeSpec(
+        mode=args.runtime,
+        executor="virtual",
+        queue_capacity=args.queue_capacity,
+        autoscale=policy,
+        routing=routing,
+    )
     observability = (
         ObservabilitySpec(sample_rate=args.trace_sample, seed=args.seed)
         if args.trace

@@ -238,9 +238,11 @@ class _Connection:
         assert self.hello is not None
         frontend = self.frontend
         frontend._results.increment()
+        if len(body) < framing.RESULT_BODY.size:
+            raise ProtocolError(ErrorCode.MALFORMED_FRAME, "truncated RESULT")
         # Window and drain checks come *before* the gateway sees the
         # upload: a refused result is answered, never half-admitted.
-        seq = framing.RESULT_BODY.unpack_from(body)[0] if len(body) >= 4 else 0
+        seq = framing.RESULT_BODY.unpack_from(body)[0]
         if frontend.draining:
             self.results_overloaded += 1
             frontend._results_overloaded.increment()

@@ -108,19 +108,14 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Enqueue + triggers
     # ------------------------------------------------------------------
-    def add(self, shard_id: str, result: TaskResult, now: float) -> list[TaskResult]:
-        """Queue one result; return a decoded batch if the size trigger fired."""
-        return self.decode_entries(self.add_encoded(shard_id, result, now))
-
     # hot-path
     def add_encoded(
         self, shard_id: str, result: TaskResult, now: float
     ) -> list[EncodedResult]:
         """Queue one result; return the *encoded* batch on the size trigger.
 
-        This is the asynchronous runtime's enqueue path: the caller's
-        thread pays only for the codec encode, and the flushed wire-form
-        entries travel to the shard's worker lane, which decodes them
+        The caller's thread pays only for the codec encode; the flushed
+        wire-form entries travel to the shard's lane, which decodes them
         there (:meth:`decode_entries`).
         """
         encoded = encode_result(result, self.codec, admitted_at=now)
@@ -151,20 +146,13 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Flush
     # ------------------------------------------------------------------
-    def flush(self, shard_id: str) -> list[TaskResult]:
-        """Decode and hand back the shard's pending batch (may be empty).
-
-        The lane entry itself is removed (``add`` recreates it on demand),
-        so a shard that stops receiving results leaves nothing behind for
-        :meth:`due` to rescan.  A lane of uniform dense blobs is decoded
-        into ONE contiguous ``(B, D)`` matrix; the returned results'
-        gradients are rows of that matrix, so the shard's batched hot path
-        folds them without restacking scattered vectors.
-        """
-        return self.decode_entries(self.flush_encoded(shard_id))
-
     def flush_encoded(self, shard_id: str) -> list[EncodedResult]:
-        """Remove and return the shard's pending entries, still encoded."""
+        """Remove and return the shard's pending entries, still encoded.
+
+        The lane entry itself is removed (``add_encoded`` recreates it on
+        demand), so a shard that stops receiving results leaves nothing
+        behind for :meth:`due` to rescan.
+        """
         lane = self._lanes.pop(shard_id, None)
         if lane is None or not lane.entries:
             return []
@@ -172,7 +160,13 @@ class MicroBatcher:
 
     # hot-path
     def decode_entries(self, entries: list[EncodedResult]) -> list[TaskResult]:
-        """Decode a flushed batch (see :meth:`flush` for the layout)."""
+        """Decode a flushed batch back into ``TaskResult``s.
+
+        A lane of uniform dense blobs is decoded into ONE contiguous
+        ``(B, D)`` matrix; the returned results' gradients are rows of
+        that matrix, so the shard's batched hot path folds them without
+        restacking scattered vectors.
+        """
         if not entries:
             return []
         # Traced uploads charge the WHOLE batch's decode to their own
@@ -209,10 +203,10 @@ class MicroBatcher:
     def drop(self, shard_id: str) -> None:
         """Discard a shard's lane without decoding its pending entries.
 
-        :meth:`flush` already removes the lane it drains, so after a
-        flush this is a no-op; it exists for callers that want pending
+        :meth:`flush_encoded` already removes the lane it drains, so after
+        a flush this is a no-op; it exists for callers that want pending
         entries thrown away outright, and keeps shard removal leak-free
-        even if ``flush`` ever re-inserts lanes again.
+        even if a flush ever re-inserts lanes again.
         """
         self._lanes.pop(shard_id, None)
 

@@ -19,11 +19,12 @@ cannot tell the difference — but behind it:
 * **synchronization** — shard models are periodically blended by weighted
   parameter averaging so cross-shard divergence stays bounded
   (:mod:`repro.gateway.sync`);
-* **runtime** (optional) — flushed micro-batches execute on per-shard
-  worker lanes behind bounded queues instead of the caller's thread, and
-  a queue-driven elasticity controller resizes the tier between
-  configurable bounds (:mod:`repro.runtime`; pass a
-  :class:`~repro.runtime.spec.RuntimeSpec`);
+* **runtime** — every flushed micro-batch is delivered through its
+  shard's lane of the :class:`~repro.runtime.runtime.ShardRuntime`; the
+  :class:`~repro.runtime.spec.RuntimeSpec` picks the substrate under that
+  one path (inline on the caller's thread by default, or bounded worker
+  lanes that shed when full) and may attach a queue-driven elasticity
+  controller that resizes the tier (:mod:`repro.runtime`);
 * **durability + failover** (optional) — every shard's deliveries are
   write-ahead logged and periodically checkpointed; a heartbeat failure
   detector declares silent shards dead and ``failover`` rebuilds them
@@ -196,13 +197,6 @@ class Gateway:
         else:
             self._shards = {f"shard-{i}": shard for i, shard in enumerate(shards)}
 
-        # Worker-lane threading shapes both the locking below and the
-        # tracer's clock domain, so it is decided first.
-        self._threaded = (
-            runtime is not None
-            and runtime.mode == "async"
-            and runtime.executor == "threads"
-        )
         # Observability: the decision journal is always on (bounded and
         # cheap — decisions are rare next to uploads); per-upload tracing
         # is opt-in through the spec.  Built before the router binds so
@@ -213,6 +207,22 @@ class Gateway:
             if observability is not None
             else 8192
         )
+        self.metrics = MetricsRegistry()
+        # Serving runtime: the one delivery path.  Without a spec, lanes
+        # run each flushed batch inline on the caller's thread and never
+        # shed.  Worker-lane threading shapes both the locking below and
+        # the tracer's clock domain, so the runtime is built first.
+        if runtime is None:
+            runtime = RuntimeSpec(mode="sync")
+        self.runtime = ShardRuntime(
+            runtime,
+            metrics=self.metrics,
+            cost_model=self.cost_model,
+            journal=self.journal,
+        )
+        for shard_id in self._shards:
+            self.runtime.add_lane(shard_id)
+        self._threaded = self.runtime.threaded
         self.tracer = (
             UploadTracer(
                 observability, clock="wall" if self._threaded else "virtual"
@@ -224,10 +234,9 @@ class Gateway:
         # Placement policy: an explicit router wins, then the runtime
         # spec's routing recipe, then the classic consistent-hash ring.
         if router is None:
-            routing = getattr(runtime, "routing", None)
             router = (
-                routing.build(self.config.hash_replicas)
-                if routing is not None
+                runtime.routing.build(self.config.hash_replicas)
+                if runtime.routing is not None
                 else HashRouter(replicas=self.config.hash_replicas)
             )
         self.router = router
@@ -251,7 +260,6 @@ class Gateway:
             else None
         )
 
-        self.metrics = MetricsRegistry()
         self._requests = self.metrics.counter(
             "gateway.requests", "requests reaching the gateway"
         )
@@ -316,33 +324,19 @@ class Gateway:
         self._first_result_time: float | None = None
         self._last_result_time = 0.0
 
-        # Serving runtime: worker lanes behind bounded queues (async mode)
-        # and/or the queue-driven autoscaler.  ``runtime`` of None keeps
-        # the original fully-synchronous, manually-sized gateway.
-        self.runtime_spec = runtime
+        # The queue-driven autoscaler (None keeps shard count manual).
         self._shard_factory = shard_factory
         self._shards_built = len(self._shards)
         self._added_order: list[str] = []
-        self.runtime: ShardRuntime | None = None
         self.autoscaler: ElasticityController | None = None
-        if runtime is not None:
-            if runtime.mode == "async":
-                self.runtime = ShardRuntime(
-                    runtime,
-                    metrics=self.metrics,
-                    cost_model=self.cost_model,
-                    journal=self.journal,
+        if runtime.autoscale is not None:
+            if shard_factory is None:
+                raise ValueError(
+                    "autoscaling needs a shard factory: build the "
+                    "gateway via from_factory/from_spec (or pass "
+                    "shard_factory=) so new shards can be stamped out"
                 )
-                for shard_id in self._shards:
-                    self.runtime.add_lane(shard_id)
-            if runtime.autoscale is not None:
-                if shard_factory is None:
-                    raise ValueError(
-                        "autoscaling needs a shard factory: build the "
-                        "gateway via from_factory/from_spec (or pass "
-                        "shard_factory=) so new shards can be stamped out"
-                    )
-                self.autoscaler = ElasticityController(runtime.autoscale, self)
+            self.autoscaler = ElasticityController(runtime.autoscale, self)
 
         # Durability: per-shard WAL + checkpoints, a heartbeat failure
         # detector, and crash-window bookkeeping.  ``_crashed`` maps a
@@ -352,7 +346,6 @@ class Gateway:
         # ``_crashed_counters`` carries the gateway-observed (clock,
         # results_applied) of the dead shard so the tier-wide monotone
         # counters don't dip while it is down.
-        self.durability_spec = durability
         self.durability: DurabilityManager | None = None
         self.detector: FailureDetector | None = None
         self._crashed: dict[str, float] = {}
@@ -425,9 +418,15 @@ class Gateway:
     ) -> "Gateway":
         """Build N identically-configured shards from a factory.
 
-        The factory is retained: it is what lets the elasticity
+        The factory — any callable taking a shard index, typically a
+        :class:`repro.api.ServerSpec` (duck-typed to avoid a gateway→api
+        dependency) — is retained: it is what lets the elasticity
         controller (``runtime.autoscale``) stamp out additional shards at
-        scale-up time — and what ``failover`` rebuilds crashed shards on.
+        scale-up time, and what ``failover`` rebuilds crashed shards on.
+        A spec built with ``FleetBuilder.runtime(...)`` carries its own
+        :class:`RuntimeSpec` (including any ``FleetBuilder.routing``
+        recipe), and one built with ``FleetBuilder.durability(...)`` its
+        own :class:`DurabilitySpec`; explicit arguments override both.
         """
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -435,46 +434,15 @@ class Gateway:
             [shard_factory(i) for i in range(num_shards)],
             config=config,
             cost_model=cost_model,
-            runtime=runtime,
+            runtime=runtime or getattr(shard_factory, "runtime", None),
             shard_factory=shard_factory,
             router=router,
             observability=observability,
-            durability=durability,
+            durability=durability or getattr(shard_factory, "durability", None),
             slo=slo,
         )
 
-    @classmethod
-    def from_spec(
-        cls,
-        num_shards: int,
-        spec: Callable[[int], FleetServer],
-        config: GatewayConfig | None = None,
-        cost_model: AggregationCostModel | None = None,
-        runtime: RuntimeSpec | None = None,
-        router: Router | None = None,
-        observability: ObservabilitySpec | None = None,
-        durability: DurabilitySpec | None = None,
-        slo: SLOSpec | None = None,
-    ) -> "Gateway":
-        """Build N shards from a :class:`repro.api.ServerSpec`.
-
-        A spec is callable with a shard index and stamps out fully
-        state-independent servers, so this is ``from_factory`` with the
-        builder's product (duck-typed to avoid a gateway→api dependency).
-        A spec built with ``FleetBuilder.runtime(...)`` carries its own
-        :class:`RuntimeSpec` (including any ``FleetBuilder.routing``
-        recipe), and one built with ``FleetBuilder.durability(...)`` its
-        own :class:`DurabilitySpec`; explicit arguments override both.
-        """
-        if runtime is None:
-            runtime = getattr(spec, "runtime", None)
-        if durability is None:
-            durability = getattr(spec, "durability", None)
-        return cls.from_factory(
-            num_shards, spec, config=config, cost_model=cost_model,
-            runtime=runtime, router=router, observability=observability,
-            durability=durability, slo=slo,
-        )
+    from_spec = from_factory
 
     # ------------------------------------------------------------------
     # Time
@@ -591,15 +559,9 @@ class Gateway:
             if ctx is not None:
                 result = dataclasses.replace(result, trace=ctx)
 
-        entries = self.batcher.add_encoded(shard_id, result, now)
-        if self.runtime is None:
-            updated = (
-                self._deliver_entries(shard_id, entries, now) if entries else False
-            )
-        else:
-            updated = (
-                self._submit_entries(shard_id, entries, now) if entries else False
-            )
+        updated = self._dispatch(
+            shard_id, self.batcher.add_encoded(shard_id, result, now), now
+        )
         # A deadline flush may deliver this very result (its lane's oldest
         # entry was already overdue), so fold the pump's outcome for this
         # shard into the answer.
@@ -609,53 +571,42 @@ class Gateway:
     # ------------------------------------------------------------------
     # Internal machinery
     # ------------------------------------------------------------------
-    def _deliver_entries(self, shard_id: str, entries: list, now: float) -> bool:
-        """Decode a flushed batch and deliver it on the caller's thread.
+    def _apply_entries(self, shard_id: str, entries: list, now: float) -> bool:
+        """Decode a flushed, still-encoded batch and deliver it to its shard.
 
-        The synchronous (runtime-less) delivery path; keeps the encoded
-        entries in scope so admission times reach the latency SLI.
+        The full back half of the serving path — codec decode, stage
+        ``on_batch`` hooks, ``submit_many`` — and the job a shard's lane
+        runs.
         """
         batch = self.batcher.decode_entries(entries)
-        return self._deliver(
-            shard_id,
-            batch,
-            now,
-            admitted=[entry.admitted_at for entry in entries],
-        )
+        with self._shard_guard(shard_id):
+            return self._deliver(shard_id, entries, batch, now)
 
-    def _submit_entries(self, shard_id: str, entries: list, now: float) -> bool:
-        """Hand a flushed, still-encoded micro-batch to the shard's lane.
+    def _stamp(self, entries: list, name: str) -> None:
+        """Wall-clock stamp on every traced entry (threaded lanes only)."""
+        if self.tracer is None or self.tracer.clock != "wall":
+            return
+        at = time.perf_counter()
+        for entry in entries:
+            if entry.metadata.trace is not None:
+                entry.metadata.trace.stamp(name, at)
 
-        The job the worker lane runs is the full back half of the serving
-        path — codec decode, stage ``on_batch`` hooks, ``submit_many`` —
-        so the caller's thread pays only for encode + enqueue.  Returns
-        the model-updated outcome when the lane resolved it already (the
-        virtual executor runs inline); a threaded lane resolves later and
-        this returns False — callers needing the outcome hold the ticket.
-        A full lane rejects the batch (counted by the runtime).
+    def _dispatch(self, shard_id: str, entries: list, now: float) -> bool:
+        """Hand a flushed micro-batch (possibly empty) to the shard's lane.
+
+        Returns the model-updated outcome when the lane resolved it
+        already (inline lanes always have); a threaded lane resolves
+        later and this returns False — the caller's thread paid only for
+        encode + enqueue.  A full lane rejects the batch (counted by the
+        runtime).
         """
-        assert self.runtime is not None
-        wall = self.tracer is not None and self.tracer.clock == "wall"
-        if wall:
-            flushed = time.perf_counter()
-            for entry in entries:
-                if entry.metadata.trace is not None:
-                    entry.metadata.trace.stamp("flushed", flushed)
+        if not entries:
+            return False
+        self._stamp(entries, "flushed")
 
         def job() -> bool:
-            if wall:
-                started = time.perf_counter()
-                for entry in entries:
-                    if entry.metadata.trace is not None:
-                        entry.metadata.trace.stamp("job_start", started)
-            batch = self.batcher.decode_entries(entries)
-            with self._shard_guard(shard_id):
-                return self._deliver(
-                    shard_id,
-                    batch,
-                    now,
-                    admitted=[entry.admitted_at for entry in entries],
-                )
+            self._stamp(entries, "job_start")
+            return self._apply_entries(shard_id, entries, now)
 
         ticket = self.runtime.submit(shard_id, len(entries), job, now)
         if ticket is None:
@@ -666,9 +617,7 @@ class Gateway:
                     if entry.metadata.trace is not None:
                         self.tracer.drop(entry.metadata.trace)
             return False
-        if ticket.done():
-            return bool(ticket.result())
-        return False
+        return ticket.done() and bool(ticket.result())
 
     def _stash_crashed(self, shard_id: str, result: TaskResult, now: float) -> None:
         """Park an accepted result for a crashed shard, in wire form.
@@ -681,21 +630,8 @@ class Gateway:
             encode_result(result, self.codec, admitted_at=now)
         )
 
-    def _flush_shard(self, shard_id: str, now: float) -> bool:
-        """Flush one lane through whichever delivery path is configured."""
-        entries = self.batcher.flush_encoded(shard_id)
-        if not entries:
-            return False
-        if self.runtime is not None:
-            return self._submit_entries(shard_id, entries, now)
-        return self._deliver_entries(shard_id, entries, now)
-
     def _deliver(
-        self,
-        shard_id: str,
-        batch: list[TaskResult],
-        now: float,
-        admitted: list[float] | None = None,
+        self, shard_id: str, entries: list, batch: list[TaskResult], now: float
     ) -> bool:
         shard = self._shards[shard_id]
         if self.staleness_hist is not None:
@@ -732,11 +668,12 @@ class Gateway:
                 lane.busy_until = start + service
                 lane.busy_seconds += service
                 lane.observe_service(service, now)
-        if self.upload_latency_hist is not None and admitted is not None:
+        if self.upload_latency_hist is not None:
             # End-to-end upload latency: gateway admission (the encoded
             # entry's stamp) to lane completion, one vectorized observe
             # per batch.  Results redelivered after a failover keep
             # their crash-era admission stamp — they DID wait that long.
+            admitted = [entry.admitted_at for entry in entries]
             self.upload_latency_hist.observe_many(
                 (start + service) - np.asarray(admitted, dtype=np.float64)
             )
@@ -763,7 +700,9 @@ class Gateway:
         """
         watched_updated = False
         for shard_id in self.batcher.due(now):
-            updated = self._flush_shard(shard_id, now)
+            updated = self._dispatch(
+                shard_id, self.batcher.flush_encoded(shard_id), now
+            )
             if shard_id == watch:
                 watched_updated = updated
         if len(self._shards) > 1 and self.synchronizer.due(now):
@@ -806,13 +745,12 @@ class Gateway:
     def synchronize(self, now: float | None = None) -> None:
         """Blend shard models (weighted by fresh updates) and broadcast.
 
-        With an async runtime the worker lanes are drained first: a lane
-        job folding gradients concurrently with the parameter broadcast
-        would race the models it blends.
+        The worker lanes are drained first: a lane job folding gradients
+        concurrently with the parameter broadcast would race the models
+        it blends.
         """
         now = self._advance(now)
-        if self.runtime is not None:
-            self.runtime.drain()
+        self.runtime.drain()
         record = self.synchronizer.synchronize(self._shards, now)
         self._syncs.increment()
         self._divergence.observe(record.max_divergence)
@@ -823,17 +761,15 @@ class Gateway:
     def flush_all(self, now: float | None = None) -> int:
         """Force-deliver every pending micro-batch; returns results flushed.
 
-        Counts results leaving the batcher; with a bounded async runtime a
-        full lane may still shed a flushed batch (tracked by the runtime's
-        rejection counters).
+        Counts results leaving the batcher; a full bounded lane may still
+        shed a flushed batch (tracked by the runtime's rejection counters).
         """
         now = self._advance(now)
         flushed = 0
         for shard_id in list(self._shards):
-            pending = self.batcher.pending(shard_id)
-            if pending:
-                self._flush_shard(shard_id, now)
-                flushed += pending
+            entries = self.batcher.flush_encoded(shard_id)
+            self._dispatch(shard_id, entries, now)
+            flushed += len(entries)
         return flushed
 
     def finalize(self, now: float | None = None) -> None:
@@ -848,8 +784,7 @@ class Gateway:
             for shard_id in sorted(self._crashed):
                 self.failover(shard_id, now)
         self.flush_all(now)
-        if self.runtime is not None:
-            self.runtime.drain()
+        self.runtime.drain()
         if len(self._shards) > 1:
             self.synchronize(now)
         if self.durability is not None:
@@ -860,8 +795,7 @@ class Gateway:
     ) -> str:
         """Join a shard: it inherits the consensus model, then takes ~1/N keys."""
         now = self._advance(now)
-        if self.runtime is not None:
-            self.runtime.drain()  # quiesce lanes before touching models
+        self.runtime.drain()  # quiesce lanes before touching models
         if shard_id is None:
             shard_id = f"shard-{len(self._shards)}"
             while shard_id in self._shards:
@@ -878,8 +812,7 @@ class Gateway:
             self._lanes[shard_id] = _ShardLane()
         self._shard_locks[shard_id] = threading.Lock()
         self.router.add_shard(shard_id, now)
-        if self.runtime is not None:
-            self.runtime.add_lane(shard_id)
+        self.runtime.add_lane(shard_id)
         if self.durability is not None:
             # The anchor checkpoint covers the blend the joiner just
             # inherited — recovery never depends on the factory alone.
@@ -895,14 +828,13 @@ class Gateway:
         if len(self._shards) == 1:
             raise ValueError("cannot remove the last shard")
         now = self._advance(now)
-        if self.runtime is not None:
-            self.runtime.drain()  # quiesce lanes before draining the leaver
+        self.runtime.drain()  # quiesce lanes before draining the leaver
         entries = self.batcher.flush_encoded(shard_id)
         if entries:
-            # Delivered synchronously even in async mode: the leaver's
+            # Applied directly, not through the lane: the leaver's
             # learning must be in its model before the farewell sync, and
             # a shard on its way out cannot be queue-shed.
-            self._deliver_entries(shard_id, entries, now)
+            self._apply_entries(shard_id, entries, now)
         self.batcher.drop(shard_id)
         # One sync while the leaver still participates: its updates enter
         # the consensus, so removing it afterwards loses nothing.
@@ -925,8 +857,7 @@ class Gateway:
             self._retired.results += lane.results
             self._retired_clock += shard.clock
             self._retired_results_applied += shard.results_applied
-        if self.runtime is not None:
-            self.runtime.drop_lane(shard_id)
+        self.runtime.drop_lane(shard_id)
         self._shard_locks.pop(shard_id, None)
         self._inflight = {
             worker: owner
@@ -995,8 +926,7 @@ class Gateway:
                 "crash_shard needs durability: without a WAL the shard's "
                 "state would be unrecoverable"
             )
-        if self.runtime is not None:
-            self.runtime.drain()  # entrained lane jobs finish or die now
+        self.runtime.drain()  # entrained lane jobs finish or die now
         server = self._shards.pop(shard_id)
         self._crashed[shard_id] = now
         self._crashed_counters[shard_id] = (server.clock, server.results_applied)
@@ -1010,8 +940,7 @@ class Gateway:
             self._crash_pending.setdefault(shard_id, []).extend(pending)
         self.batcher.drop(shard_id)
         self.durability.drop_attachment(shard_id)
-        if self.runtime is not None:
-            self.runtime.fail_lane(shard_id)
+        self.runtime.fail_lane(shard_id)
 
     def failover(self, shard_id: str, now: float | None = None) -> RestoreReport:
         """Rebuild a crashed shard from checkpoint + WAL replay.
@@ -1046,22 +975,13 @@ class Gateway:
         with self._bookkeeping_lock:
             self._lanes.setdefault(shard_id, _ShardLane())
         self._shard_locks.setdefault(shard_id, threading.Lock())
-        if self.runtime is not None:
-            self.runtime.revive_lane(shard_id)
+        self.runtime.add_lane(shard_id)
         self.detector.revive(shard_id, now)
         self.router.on_failover(shard_id, now)
         parked = self._crash_pending.pop(shard_id, [])
-        redelivered = 0
         if parked:
-            batch = self.batcher.decode_entries(parked)
-            with self._shard_guard(shard_id):
-                self._deliver(
-                    shard_id,
-                    batch,
-                    now,
-                    admitted=[entry.admitted_at for entry in parked],
-                )
-            redelivered = len(batch)
+            # Applied directly: a restored shard cannot be queue-shed.
+            self._apply_entries(shard_id, parked, now)
         recovery_s = now - crashed_at
         self._recovery_hist.observe(recovery_s)
         self.journal.failover_done(
@@ -1073,7 +993,7 @@ class Gateway:
             replayed_records=report.replayed_records,
             replayed_results=report.replayed_results,
             restored_clock=report.final_clock,
-            redelivered_results=redelivered,
+            redelivered_results=len(parked),
         )
         return report
 
@@ -1117,18 +1037,18 @@ class Gateway:
         Takes the larger of the lane's recently-accrued service time (an
         EWMA, so the score ranks shards by service *rate* even when
         queues drain between arrivals) and its unfinished backlog — the
-        runtime's queue model when lanes are async (queue depth × the
+        deeper of the gateway's own occupancy model and the runtime's
+        queue model (queue depth × the
         :class:`~repro.runtime.telemetry.ServiceTimeEstimator` mean on
-        the threads executor), the gateway's own occupancy model
-        otherwise.  ``max`` rather than a sum because a just-delivered
-        batch appears in BOTH terms until its occupancy drains; summing
-        would score it twice.  Under light load the EWMA dominates (a
-        drained queue still ranks by rate); under overload the backlog
-        dominates (the EWMA saturates at rate × its time constant while
-        queues grow without bound).  Seconds of recently-shed work are
-        added on top — shed batches are in neither term.  Without a cost
-        model or runtime every term is 0.0 and routers fall back to
-        their own placement counters.
+        the threads executor, 0 for a sync lane).  ``max`` rather than a
+        sum because a just-delivered batch appears in EVERY term until
+        its occupancy drains; summing would score it twice.  Under light
+        load the EWMA dominates (a drained queue still ranks by rate);
+        under overload the backlog dominates (the EWMA saturates at
+        rate × its time constant while queues grow without bound).
+        Seconds of recently-shed work are added on top — shed batches
+        are in neither term.  Without a cost model every term is 0.0 and
+        routers fall back to their own placement counters.
         """
         now = self._now if now is None else now
         with self._bookkeeping_lock:
@@ -1137,13 +1057,8 @@ class Gateway:
             lane = self._lanes[shard_id]
             recent = lane.recent_load(now)
             busy_until = lane.busy_until
-        if self.runtime is not None:
-            backlog = self.runtime.backlog_s(shard_id, now)
-            shed = self.runtime.recent_shed_s(shard_id, now)
-        else:
-            backlog = max(0.0, busy_until - now)
-            shed = 0.0
-        return max(recent, backlog) + shed
+        backlog = max(busy_until - now, self.runtime.backlog_s(shard_id, now))
+        return max(recent, backlog) + self.runtime.recent_shed_s(shard_id, now)
 
     # ------------------------------------------------------------------
     # Introspection (FleetServer-compatible surface + gateway extras)

@@ -20,7 +20,7 @@ is not configured)::
         "<shard-id>": {
           "status": "ok" | "suspect" | "down",
           "clock": int | None,              # None while down
-          "queue_depth": int,               # 0 without a runtime
+          "queue_depth": int,               # 0 for a sync lane
           "lane_alive": bool,
           "pending_batch": int,             # gateway-held, not yet flushed
           "parked_results": int,            # accepted during an outage
@@ -79,18 +79,14 @@ def build_health_snapshot(gateway, now: float) -> dict:
                     0, shard.clock - bundle.last_checkpoint_clock
                 ),
             }
-        lane_alive = True
-        queue_depth = 0
-        if runtime is not None:
-            lane_alive = runtime.lane_alive(shard_id)
-            queue_depth = runtime.queue_depth(shard_id, now)
-            if not lane_alive:
-                status = "suspect"
-                degraded = True
+        lane_alive = runtime.lane_alive(shard_id)
+        if not lane_alive:
+            status = "suspect"
+            degraded = True
         shards[shard_id] = {
             "status": status,
             "clock": shard.clock,
-            "queue_depth": queue_depth,
+            "queue_depth": runtime.queue_depth(shard_id, now),
             "lane_alive": lane_alive,
             "pending_batch": gateway.batcher.pending(shard_id),
             "parked_results": 0,

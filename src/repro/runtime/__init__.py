@@ -1,4 +1,4 @@
-"""repro.runtime — the elastic asynchronous serving runtime.
+"""repro.runtime — the elastic serving runtime.
 
 This package slots between :class:`~repro.gateway.gateway.Gateway` and
 its :class:`~repro.server.server.FleetServer` shards.  The gateway stays
@@ -6,10 +6,11 @@ the *policy* tier (routing, admission, micro-batch boundaries, shard
 synchronization); the runtime is the *mechanism* tier that decides where
 and when a flushed micro-batch actually executes:
 
-* :class:`ShardRuntime` — one serialized worker lane per shard pulling
-  flushed micro-batches off a bounded queue and running
-  decode → stage ``on_batch`` → ``submit_many`` off the caller's thread
-  (:mod:`repro.runtime.runtime`);
+* :class:`ShardRuntime` — the gateway's one delivery path: a serialized
+  lane per shard running decode → stage ``on_batch`` → ``submit_many``
+  for every flushed micro-batch.  A sync lane runs it inline and never
+  sheds; an async lane sits behind a bounded queue, off the caller's
+  thread on the threads executor (:mod:`repro.runtime.runtime`);
 * :class:`VirtualLaneExecutor` / :class:`ThreadLaneExecutor` — the two
   execution substrates: a deterministic discrete-event mode that is
   bit-identical to the synchronous path, and a thread pool for wall-clock

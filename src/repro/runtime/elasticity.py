@@ -178,10 +178,7 @@ class ElasticityController:
             self.gateway.results_received() - self._window.results
         ) / elapsed
         backlog_s = self.gateway.max_backlog_s(now)
-        runtime = getattr(self.gateway, "runtime", None)
-        queue_depth = (
-            float(runtime.max_queue_depth(now)) if runtime is not None else 0.0
-        )
+        queue_depth = float(self.gateway.runtime.max_queue_depth(now))
         return occupancy, shed_rate, backlog_s, queue_depth, admitted_rate
 
     # ------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """``ShardRuntime``: bounded per-shard lanes in front of the executors.
 
-The gateway hands each flushed micro-batch to :meth:`ShardRuntime.submit`
+The gateway hands every flushed micro-batch to :meth:`ShardRuntime.submit`
 as an opaque job (decode → stage ``on_batch`` → ``submit_many``, closed
-over the shard).  The runtime's responsibilities around that job:
+over the shard) — it is the gateway's only delivery path.  A ``"sync"``
+spec builds lanes that run the job inline, never shed and take no part in
+the queue model (depth, backlog and shed signals all read 0); for an
+``"async"`` spec the runtime's responsibilities around that job are:
 
 * **admission to the lane** — each shard lane holds at most
   ``queue_capacity`` unfinished micro-batches; a batch arriving to a full
@@ -77,19 +80,22 @@ class ShardRuntime:
         self,
         spec: RuntimeSpec,
         metrics: "MetricsRegistry",
-        cost_model: "AggregationCostModel | None" = None,
-        journal: "EventJournal | None" = None,
+        cost_model: "AggregationCostModel | None",
+        journal: "EventJournal",
     ) -> None:
         self.spec = spec
         self.cost_model = cost_model
-        # Optional event journal (the gateway's): capacity sheds are
-        # decisions worth attributing, not just counting.
+        # The gateway's event journal: capacity sheds are decisions
+        # worth attributing, not just counting.
         self._journal = journal
         # The estimator's running sums are fed from lane threads (see
         # ``timed_job``) and read on the caller's thread, so every touch
         # happens under the telemetry lock.
         self.estimator = ServiceTimeEstimator()  # guarded-by: _telemetry_lock
-        self._virtual = spec.executor == "virtual"
+        # The one place sync and async delivery differ: a sync lane runs
+        # the job inline and bypasses admission and the queue model.
+        self._inline = spec.mode == "sync"
+        self._virtual = self._inline or spec.executor == "virtual"
         self.executor = (
             VirtualLaneExecutor()
             if self._virtual
@@ -122,6 +128,8 @@ class ShardRuntime:
     # Lane membership
     # ------------------------------------------------------------------
     def add_lane(self, shard_id: str) -> None:
+        """Open a lane — or bring a failed one back (failover restored
+        its shard)."""
         self._lanes.setdefault(shard_id, _LaneState())
         self._dead_lanes.discard(shard_id)
 
@@ -138,7 +146,7 @@ class ShardRuntime:
 
         Models a shard process crash — the in-flight micro-batches on the
         lane die with it (at-most-once for work past the WAL), and the
-        lane stops accepting jobs until :meth:`revive_lane`.
+        lane stops accepting jobs until :meth:`add_lane` revives it.
         """
         self._dead_lanes.add(shard_id)
         lane = self._lanes.get(shard_id)
@@ -146,13 +154,13 @@ class ShardRuntime:
             lane.finishes.clear()
         self.executor.drop_lane(shard_id)
 
-    def revive_lane(self, shard_id: str) -> None:
-        """Bring a failed lane back (failover restored its shard)."""
-        self._dead_lanes.discard(shard_id)
-        self._lanes.setdefault(shard_id, _LaneState())
-
     def lane_alive(self, shard_id: str) -> bool:
         return shard_id not in self._dead_lanes
+
+    @property
+    def threaded(self) -> bool:
+        """Whether jobs run on pool threads (else inline on the caller's)."""
+        return not self._virtual
 
     # ------------------------------------------------------------------
     # Queue-depth signals
@@ -240,16 +248,21 @@ class ShardRuntime:
         A full lane rejects the whole batch — the caller already removed
         it from the micro-batcher, so rejection here is a deliberate,
         counted drop (queue-pressure load shedding), mirrored to the
-        autoscaler through the rejection counters.
+        autoscaler through the rejection counters.  A sync lane never
+        sheds: the job runs now, on the caller's thread.
         """
+        if self._inline:
+            ticket = BatchTicket()
+            self._batches.increment()
+            self.executor.submit(shard_id, job, ticket)
+            return ticket
         if shard_id in self._dead_lanes:
             # A dead lane sheds everything: the batch is counted like a
             # capacity drop so loss accounting stays honest during the
             # crash-to-failover window.
             self._rejected_batches.increment()
             self._rejected_results.increment(batch_size)
-            if self._journal is not None:
-                self._journal.lane_shed(now, shard_id, batch_size, 0)
+            self._journal.lane_shed(now, shard_id, batch_size, 0)
             return None
         lane = self._lanes.setdefault(shard_id, _LaneState())
         depth = self.queue_depth(shard_id, now)
@@ -257,8 +270,7 @@ class ShardRuntime:
             self._rejected_batches.increment()
             self._rejected_results.increment(batch_size)
             lane.rejects.append((now, batch_size))
-            if self._journal is not None:
-                self._journal.lane_shed(now, shard_id, batch_size, depth)
+            self._journal.lane_shed(now, shard_id, batch_size, depth)
             return None
         self._depth_summary.observe(depth)
 

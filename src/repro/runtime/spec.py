@@ -27,12 +27,14 @@ EXECUTORS = ("virtual", "threads")
 class RuntimeSpec:
     """How flushed micro-batches execute, and whether the tier self-sizes.
 
-    ``mode`` selects the delivery path: ``"sync"`` applies each batch on
-    the caller's thread exactly as a runtime-less gateway would (useful to
-    keep autoscaling without asynchrony), ``"async"`` hands it to the
-    shard's worker lane.  ``executor`` picks the substrate for async
-    delivery: ``"virtual"`` executes inline on the discrete-event clock —
-    deterministic, bit-identical to the sync path with ample queue
+    Every flushed micro-batch goes through its shard's lane; ``mode``
+    picks the lane's contract.  ``"sync"`` (what a gateway built without
+    a spec gets) runs the batch inline on the caller's thread, never
+    sheds and reports no queue signal — ``executor``, ``workers`` and
+    ``queue_capacity`` do not apply.  ``"async"`` bounds the lane and
+    models (or measures) its occupancy; ``executor`` then picks the
+    substrate: ``"virtual"`` executes inline on the discrete-event clock
+    — deterministic, bit-identical to a sync lane with ample queue
     capacity — while ``"threads"`` runs lanes on a shared
     ``ThreadPoolExecutor`` of ``workers`` threads for wall-clock serving.
 

@@ -6,10 +6,7 @@ the first stage) and ``handle_result`` runs the server half of step 5 (the
 **result-stage chain** — DP noise, robust pre-combine, sparse decode, … —
 then profiler feedback + staleness-aware model update).
 
-Construction sites should use :class:`repro.api.FleetBuilder`; the
-positional ``FleetServer(optimizer, profiler, slo, controller)`` signature
-is kept as a thin deprecated shim (the controller is wrapped into an
-:class:`~repro.server.stages.AdmissionStage` automatically).
+Construction sites should use :class:`repro.api.FleetBuilder`.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import numpy as np
 
 from repro.core.adasgd import GradientUpdate, StalenessAwareServer, stack_gradients
 from repro.profiler.iprof import IProf, SLO
-from repro.server.controller import Controller
 from repro.server.protocol import (
     TaskAssignment,
     TaskRejection,
@@ -48,17 +44,12 @@ class FleetServer:
     profiler:
         I-Prof (or any object with the same recommend/report interface, such
         as :class:`repro.profiler.maui.MauiProfiler` for baselines).
-    controller:
-        Deprecated shim: admission control passed directly.  It becomes the
-        first :class:`AdmissionStage` of the request chain.  New code
-        configures admission through ``FleetBuilder.admission``.
     slo:
         The service-level objective advertised to workers.
     request_stages / result_stages:
         The middleware chains (see :mod:`repro.server.stages`).  If no
-        ``AdmissionStage`` is present one is prepended (permissive unless
-        ``controller`` is given), so every server has a governed admission
-        point.
+        ``AdmissionStage`` is present a permissive one is prepended, so
+        every server has a governed admission point.
     """
 
     def __init__(
@@ -66,7 +57,6 @@ class FleetServer:
         optimizer: StalenessAwareServer,
         profiler: IProf,
         slo: SLO,
-        controller: Controller | None = None,
         *,
         request_stages: list[RequestStage] | tuple[RequestStage, ...] = (),
         result_stages: list[ResultStage] | tuple[ResultStage, ...] = (),
@@ -76,12 +66,7 @@ class FleetServer:
         self.slo = slo
         self.request_stages: list[RequestStage] = list(request_stages)
         if not any(isinstance(s, AdmissionStage) for s in self.request_stages):
-            self.request_stages.insert(0, AdmissionStage(controller or Controller()))
-        elif controller is not None:
-            raise ValueError(
-                "pass either a controller (deprecated shim) or an "
-                "AdmissionStage in request_stages, not both"
-            )
+            self.request_stages.insert(0, AdmissionStage())
         self.result_stages: list[ResultStage] = list(result_stages)
         for stage in (*self.request_stages, *self.result_stages):
             stage.bind(self)
@@ -92,25 +77,6 @@ class FleetServer:
         # recorded in _deliver before the fold so a crashed shard can be
         # replayed bit-exactly from its last checkpoint.
         self.wal = None
-
-    # ------------------------------------------------------------------
-    # Compatibility surface
-    # ------------------------------------------------------------------
-    @property
-    def controller(self) -> Controller | None:
-        """The first admission stage's controller (shim compatibility)."""
-        for stage in self.request_stages:
-            if isinstance(stage, AdmissionStage):
-                return stage.controller
-        return None
-
-    @controller.setter
-    def controller(self, value: Controller) -> None:
-        for stage in self.request_stages:
-            if isinstance(stage, AdmissionStage):
-                stage.controller = value
-                return
-        self.request_stages.insert(0, AdmissionStage(value))
 
     @property
     def rejections(self):

@@ -325,6 +325,24 @@ class TestHandshake:
             framing.unpack_error(stub.frames()[0][2]).code == ErrorCode.MALFORMED_FRAME
         )
 
+    @pytest.mark.parametrize("state", ["normal", "window_full", "draining"])
+    @pytest.mark.parametrize("length", [0, 3, 4, 75])
+    def test_truncated_result_is_malformed_never_internal(self, length, state):
+        """Every body shorter than RESULT_BODY (76 bytes) is a typed
+        MALFORMED_FRAME, whichever admission branch it would have hit."""
+        frontend = DeviceFrontend(
+            _gateway(), FrontendConfig(max_inflight=1), clock=lambda: 0.0
+        )
+        conn, stub = _conn(frontend)
+        if state == "window_full":
+            _dispatch_all(conn, _result_frame(1))
+            stub.frames()
+        frontend.draining = state == "draining"
+        assert conn.dispatch(FrameType.RESULT, b"\x01" * length) is False
+        error = framing.unpack_error(stub.frames()[0][2])
+        assert error.code == ErrorCode.MALFORMED_FRAME
+        assert error.detail == "truncated RESULT"
+
 
 # ---------------------------------------------------------------------------
 # Window backpressure and typed rejections (docs/protocol.md §7.1, §6.3)

@@ -246,9 +246,10 @@ class TestBatchedAggregation:
         batcher = MicroBatcher(VectorCodec(precision="f16"), max_batch=4)
         rng = np.random.default_rng(5)
         for i in range(3):
-            assert batcher.add("s", _result(i, rng.normal(size=2048)), now=0.0) == []
+            result = _result(i, rng.normal(size=2048))
+            assert batcher.add_encoded("s", result, now=0.0) == []
         assert batcher.pending("s") == 3
-        batch = batcher.add("s", _result(3, rng.normal(size=2048)), now=0.0)
+        batch = batcher.add_encoded("s", _result(3, rng.normal(size=2048)), now=0.0)
         assert len(batch) == 4
         assert batcher.compression_ratio() > 3.0  # f16 + deflate vs f64
 
@@ -513,28 +514,28 @@ class TestLaneLifecycle:
 
     def test_flush_removes_lane_entry(self):
         batcher = MicroBatcher(VectorCodec(precision="f64"), max_batch=8)
-        batcher.add("s", _result(0, np.ones(DIM)), now=0.0)
+        batcher.add_encoded("s", _result(0, np.ones(DIM)), now=0.0)
         assert "s" in batcher._lanes
-        assert len(batcher.flush("s")) == 1
+        assert len(batcher.flush_encoded("s")) == 1
         # No empty lane is re-inserted for due() to rescan forever.
         assert "s" not in batcher._lanes
-        assert batcher.flush("s") == []
+        assert batcher.flush_encoded("s") == []
 
     def test_drop_discards_pending_entries(self):
         batcher = MicroBatcher(VectorCodec(precision="f64"), max_batch=8)
-        batcher.add("s", _result(0, np.ones(DIM)), now=0.0)
+        batcher.add_encoded("s", _result(0, np.ones(DIM)), now=0.0)
         batcher.drop("s")
         assert batcher.pending("s") == 0
-        assert batcher.flush("s") == []
+        assert batcher.flush_encoded("s") == []
         batcher.drop("s")  # idempotent on unknown shards
 
     def test_due_ignores_flushed_and_dropped_lanes(self):
         batcher = MicroBatcher(
             VectorCodec(precision="f64"), max_batch=100, max_delay_s=1.0
         )
-        batcher.add("a", _result(0, np.ones(DIM)), now=0.0)
-        batcher.add("b", _result(1, np.ones(DIM)), now=0.0)
-        batcher.flush("a")
+        batcher.add_encoded("a", _result(0, np.ones(DIM)), now=0.0)
+        batcher.add_encoded("b", _result(1, np.ones(DIM)), now=0.0)
+        batcher.flush_encoded("a")
         batcher.drop("b")
         assert batcher.due(now=100.0) == []
 
@@ -556,8 +557,8 @@ class TestLaneLifecycle:
         rng = np.random.default_rng(4)
         gradients = [rng.normal(size=DIM) for _ in range(3)]
         for i, gradient in enumerate(gradients):
-            batcher.add("s", _result(i, gradient), now=0.0)
-        batch = batcher.flush("s")
+            batcher.add_encoded("s", _result(i, gradient), now=0.0)
+        batch = batcher.decode_entries(batcher.flush_encoded("s"))
         base = batch[0].gradient
         for decoded, original in zip(batch, gradients):
             np.testing.assert_array_equal(decoded.gradient, original)

@@ -382,7 +382,7 @@ class TestStackedThroughFleetSimulation:
         assert stage.decoded == result.completed > 0
 
 
-class TestDeprecatedConstructorShim:
+class TestDirectConstruction:
     def _stack(self):
         rng = np.random.default_rng(0)
         dataset = make_mnist_like(seed=0, train_per_class=20, test_per_class=5)
@@ -408,34 +408,31 @@ class TestDeprecatedConstructorShim:
         )
         return optimizer, iprof, worker
 
-    def test_positional_constructor_still_works(self):
+    def test_permissive_admission_stage_is_prepended(self):
         optimizer, iprof, worker = self._stack()
-        server = FleetServer(
-            optimizer, iprof, SLO(time_seconds=3.0), Controller(min_batch_size=1)
-        )
-        # The shim wrapped the controller into the first request stage.
+        server = FleetServer(optimizer, iprof, SLO(time_seconds=3.0))
+        # No AdmissionStage given: every server still has a governed
+        # admission point, and it lets everything through.
         assert isinstance(server.request_stages[0], AdmissionStage)
-        assert server.controller.min_batch_size == 1
+        assert server.find_request_stage(AdmissionStage).controller.min_batch_size is None
         assignment = server.handle_request(worker.build_request())
         assert isinstance(assignment, TaskAssignment)
         assert server.handle_result(worker.execute_assignment(assignment))
         assert server.clock == 1
 
-    def test_controller_attribute_remains_assignable(self):
+    def test_admission_stage_controller_is_assignable(self):
         optimizer, iprof, worker = self._stack()
-        server = FleetServer(optimizer, iprof, SLO(time_seconds=3.0))
-        server.controller = Controller(min_batch_size=10**9)
+        server = FleetServer(
+            optimizer, iprof, SLO(time_seconds=3.0),
+            request_stages=[AdmissionStage(Controller(min_batch_size=1))],
+        )
+        assert len(server.request_stages) == 1  # nothing prepended
+        server.find_request_stage(AdmissionStage).controller = Controller(
+            min_batch_size=10**9
+        )
         rejection = server.handle_request(worker.build_request())
         assert isinstance(rejection, TaskRejection)
         assert server.rejections  # bounded ring, truthy like the old list
-
-    def test_controller_and_admission_stage_conflict(self):
-        optimizer, iprof, _ = self._stack()
-        with pytest.raises(ValueError):
-            FleetServer(
-                optimizer, iprof, SLO(time_seconds=3.0), Controller(),
-                request_stages=[AdmissionStage(Controller())],
-            )
 
     def test_rejection_ring_is_bounded(self):
         server = _builder().admission(min_batch_size=10**9).build()
@@ -533,8 +530,10 @@ class TestPipelineHardening:
         controller = Controller(min_batch_size=1)
         spec = _builder().admission(controller).spec()
         a, b = spec.build(), spec.build()
-        assert a.controller is not controller
-        assert a.controller is not b.controller
+        stamped_a = a.find_request_stage(AdmissionStage).controller
+        stamped_b = b.find_request_stage(AdmissionStage).controller
+        assert stamped_a is not controller
+        assert stamped_a is not stamped_b
 
     def test_gateway_advertises_and_decodes_sparse_uploads(self):
         from repro.gateway import Gateway, GatewayConfig

@@ -82,25 +82,29 @@ def test_async_virtual_matches_sync_bit_for_bit(algorithm):
         gateway.finalize(now=160 * 0.7)
         return gateway
 
-    sync = drive(None)
-    asynchronous = drive(
-        RuntimeSpec(mode="async", executor="virtual", workers=1)
-    )
-
-    assert sync.clock == asynchronous.clock
-    assert sync.results_applied == asynchronous.results_applied
-    assert np.array_equal(
-        sync.current_parameters(), asynchronous.current_parameters()
-    )
-    for shard_id in sync.shards:
-        a = sync.shards[shard_id].optimizer
-        b = asynchronous.shards[shard_id].optimizer
-        assert np.array_equal(a.current_parameters(), b.current_parameters())
-        assert a.rejected_count == b.rejected_count
-        for column in ("weights", "staleness", "similarity", "dampening", "steps"):
-            assert np.array_equal(
-                getattr(a.applied, column)(), getattr(b.applied, column)()
-            ), (shard_id, column)
+    default = drive(None)
+    assert default.runtime.spec.mode == "sync"
+    for other in (
+        drive(RuntimeSpec(mode="sync")),
+        drive(RuntimeSpec(mode="async", executor="virtual", workers=1)),
+    ):
+        assert default.clock == other.clock
+        assert default.results_applied == other.results_applied
+        assert default.journal.to_dicts() == other.journal.to_dicts()
+        assert np.array_equal(
+            default.current_parameters(), other.current_parameters()
+        )
+        for shard_id in default.shards:
+            a = default.shards[shard_id].optimizer
+            b = other.shards[shard_id].optimizer
+            assert np.array_equal(a.current_parameters(), b.current_parameters())
+            assert a.rejected_count == b.rejected_count
+            for column in (
+                "weights", "staleness", "similarity", "dampening", "steps"
+            ):
+                assert np.array_equal(
+                    getattr(a.applied, column)(), getattr(b.applied, column)()
+                ), (shard_id, column)
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +134,33 @@ def test_full_lane_rejects_batches():
         gateway.handle_result(_result(100 + i, rng.normal(size=32)), now=100.0)
     assert runtime.rejected_batches == 4
     assert gateway.results_applied == 12
+
+
+def test_sync_lane_never_sheds_and_has_no_queue_signal():
+    def drive(mode):
+        gateway = Gateway.from_spec(
+            1,
+            _spec("fedavg"),
+            GatewayConfig(batch_size=4, batch_deadline_s=1e9, sync_every_s=1e9),
+            cost_model=AggregationCostModel(per_flush_s=10.0, per_result_s=0.0),
+            runtime=RuntimeSpec(mode=mode, executor="virtual", queue_capacity=2),
+        )
+        rng = np.random.default_rng(0)
+        # 6 batches at t=0 against 10s of service each: a virtual backlog
+        # three times deeper than queue_capacity.
+        for i in range(24):
+            gateway.handle_result(_result(i, rng.normal(size=32)), now=0.0)
+        return gateway
+
+    sync = drive("sync")
+    assert sync.max_backlog_s(0.0) == pytest.approx(60.0)
+    assert sync.runtime.rejected_batches == 0
+    assert sync.runtime.max_queue_depth(0.0) == 0
+    assert sync.results_applied == sync.results_received() == 24
+
+    asynchronous = drive("async")
+    assert asynchronous.runtime.rejected_batches == 4
+    assert asynchronous.results_applied == 8
 
 
 def test_queue_depth_decays_with_virtual_time():
@@ -548,11 +579,10 @@ def test_builder_carries_runtime_spec_to_gateway():
     )
     assert spec.runtime is not None and spec.runtime.queue_capacity == 8
     gateway = Gateway.from_spec(2, spec, GatewayConfig(batch_size=2))
-    assert gateway.runtime is not None
     assert gateway.runtime.spec.queue_capacity == 8
     # An explicit argument overrides the spec's runtime.
     override = Gateway.from_spec(
         2, spec, GatewayConfig(batch_size=2),
         runtime=RuntimeSpec(mode="sync"),
     )
-    assert override.runtime is None
+    assert override.runtime.spec.mode == "sync"

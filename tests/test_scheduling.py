@@ -133,7 +133,7 @@ class TestRoutingSpec:
         assert spec.runtime.routing.straggler_factor == 2.0
         gateway = Gateway.from_spec(2, spec)
         assert isinstance(gateway.router, DeadlineAwareRouter)
-        assert gateway.runtime is None
+        assert gateway.runtime.spec.mode == "sync"
 
     def test_builder_routing_merges_into_existing_runtime(self):
         spec = (
@@ -483,10 +483,11 @@ class TestGatewayIntegration:
             GatewayConfig(batch_size=1),
             runtime=RuntimeSpec(mode="sync", routing=RoutingSpec()),
         )
-        assert gateway.runtime is None
+        assert gateway.runtime.spec.mode == "sync"
         assert isinstance(gateway.router, DeadlineAwareRouter)
         gateway.handle_result(_result(0), now=0.0)
         assert gateway.results_applied == 1
+        assert gateway.runtime.rejected_batches == 0
 
     def test_fleet_sim_feeds_iprof_predictions_to_router(self, tiny_dataset):
         """End to end: the simulation's protocol traffic carries real

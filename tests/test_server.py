@@ -11,6 +11,7 @@ from repro.devices import SimulatedDevice, get_spec
 from repro.nn import build_logistic
 from repro.profiler import IProf, SLO, collect_offline_dataset
 from repro.server import (
+    AdmissionStage,
     Controller,
     FleetServer,
     PercentileThreshold,
@@ -173,7 +174,9 @@ class TestFleetServer:
 
     def test_controller_rejection_path(self):
         server, workers, _ = _make_stack()
-        server.controller = Controller(min_batch_size=10**9)
+        server.find_request_stage(AdmissionStage).controller = Controller(
+            min_batch_size=10**9
+        )
         rejection = server.handle_request(workers[0].build_request())
         assert isinstance(rejection, TaskRejection)
         assert rejection.reason is RejectionReason.BATCH_TOO_SMALL
