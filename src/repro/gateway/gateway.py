@@ -10,10 +10,12 @@ cannot tell the difference — but behind it:
   shard add/remove moves only ~1/N of the fleet); the deadline-aware
   router additionally steers predicted stragglers to lightly-loaded
   shards (:mod:`repro.gateway.scheduling`);
-* **micro-batching** — incoming gradients are codec-encoded and coalesced
-  per shard, flushed by size or deadline, and applied through the batched
-  hot path ``FleetServer.handle_result_batch`` — one aggregation step per
-  batch instead of per gradient (:mod:`repro.gateway.batching`);
+* **micro-batching** — incoming gradients are codec-encoded into
+  stored-block f32 (the uplink's own form; no deflate on this in-process
+  hop) and coalesced per shard, flushed by size or deadline, and applied
+  through the batched hot path ``FleetServer.handle_result_batch`` — one
+  aggregation step per batch instead of per gradient
+  (:mod:`repro.gateway.batching`);
 * **backpressure** — a token bucket sheds excess requests before any
   shard-side work happens (:mod:`repro.gateway.backpressure`);
 * **synchronization** — shard models are periodically blended by weighted
@@ -244,7 +246,11 @@ class Gateway:
         for shard_id in self._shards:
             self.router.add_shard(shard_id)
 
-        self.codec = VectorCodec(precision=self.config.codec_precision)
+        # Level 0: the in-process hop holds the uplink's stored-block form.
+        # Nothing keeps these bytes long enough for a deflate to pay back.
+        self.codec = VectorCodec(
+            precision=self.config.codec_precision, compression_level=0
+        )
         self.batcher = MicroBatcher(
             self.codec,
             max_batch=self.config.batch_size,

@@ -61,13 +61,23 @@ class VectorCodec:
         return EncodedBlob(payload=payload, dtype=self.precision, length=vector.size)
 
     def decode(self, blob: EncodedBlob) -> np.ndarray:
-        """Inverse of :meth:`encode` (up to quantization)."""
-        raw = zlib.decompress(blob.payload)
+        """Inverse of :meth:`encode` (up to quantization).
+
+        Inflation stops one byte past the size ``blob.length`` declares,
+        so a decompression bomb costs at most that much memory before it
+        is rejected with ``ValueError``.
+        """
         dtype = self._DTYPES[blob.dtype]
-        vector = np.frombuffer(raw, dtype=dtype)
-        if vector.size != blob.length:
+        expected = blob.length * np.dtype(dtype).itemsize
+        inflater = zlib.decompressobj()
+        raw = inflater.decompress(blob.payload, expected + 1)
+        if len(raw) > expected:
+            raise ValueError("blob inflates past its declared length")
+        if not inflater.eof:
+            raise ValueError("incomplete or truncated deflate stream")
+        if len(raw) != expected:
             raise ValueError("decoded length does not match blob metadata")
-        return vector.astype(np.float64)
+        return np.frombuffer(raw, dtype=dtype).astype(np.float64)
 
     def roundtrip_error(self, vector: np.ndarray) -> float:
         """Max abs quantization error of an encode/decode round trip."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,15 @@ def tiny_dataset():
 @pytest.fixture
 def galaxy_s7(rng) -> SimulatedDevice:
     return SimulatedDevice(get_spec("Galaxy S7"), rng)
+
+
+@pytest.fixture(scope="session")
+def deflate_bomb() -> bytes:
+    """~261 KB of deflate that inflates to 256 MiB of zeros.
+
+    Built a MiB at a time so the test process never holds the inflated
+    form; run-length matching keeps the build near a second.
+    """
+    deflater = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
+    chunk = bytes(1 << 20)
+    return b"".join(deflater.compress(chunk) for _ in range(256)) + deflater.flush()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.nn import build_hashtag_rnn
-from repro.server.codec import TransferCostModel, VectorCodec
+from repro.server.codec import EncodedBlob, TransferCostModel, VectorCodec
 
 
 class TestVectorCodec:
@@ -55,11 +58,48 @@ class TestVectorCodec:
     def test_corrupted_length_detected(self):
         codec = VectorCodec(precision="f32")
         blob = codec.encode(np.ones(5))
-        from repro.server.codec import EncodedBlob
-
         bad = EncodedBlob(payload=blob.payload, dtype=blob.dtype, length=6)
         with pytest.raises(ValueError):
             codec.decode(bad)
+
+    @pytest.mark.parametrize("level", [0, 6])
+    @pytest.mark.parametrize("precision", ["f64", "f32", "f16"])
+    def test_bounded_inflate_roundtrips_exactly(self, precision, level):
+        """The bounded inflate decodes every valid blob to the same bits
+        an unbounded ``zlib.decompress`` does, across sizes that span
+        several stored blocks."""
+        rng = np.random.default_rng(6)
+        codec = VectorCodec(precision=precision, compression_level=level)
+        dtype = VectorCodec._DTYPES[precision]
+        for size in (0, 1, 7, 40_000):
+            vec = rng.normal(size=size)
+            blob = codec.encode(vec)
+            decoded = codec.decode(blob)
+            reference = np.frombuffer(zlib.decompress(blob.payload), dtype=dtype)
+            assert decoded.dtype == np.float64
+            assert decoded.tobytes() == reference.astype(np.float64).tobytes()
+            assert decoded.tobytes() == vec.astype(dtype).astype(np.float64).tobytes()
+
+    def test_overlong_and_truncated_streams_rejected(self):
+        codec = VectorCodec(precision="f32", compression_level=0)
+        blob = codec.encode(np.ones(5))
+        with pytest.raises(ValueError):  # inflates past 4 declared elements
+            codec.decode(EncodedBlob(payload=blob.payload, dtype="f32", length=4))
+        with pytest.raises(ValueError):  # stream cut before its end marker
+            codec.decode(EncodedBlob(payload=blob.payload[:-5], dtype="f32", length=5))
+
+    def test_decompression_bomb_rejected_in_bounded_memory(self, deflate_bomb):
+        """256 MiB of zeros declared as 4 f32 elements: rejected after
+        inflating at most 17 bytes, never materialised."""
+        blob = EncodedBlob(payload=deflate_bomb, dtype="f32", length=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                VectorCodec(precision="f32").decode(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestTransferCostModel:

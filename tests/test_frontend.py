@@ -343,6 +343,22 @@ class TestHandshake:
         assert error.code == ErrorCode.MALFORMED_FRAME
         assert error.detail == "truncated RESULT"
 
+    def test_decompression_bomb_result_is_malformed(self, deflate_bomb):
+        """A RESULT whose 4-element f32 blob inflates to 256 MiB is
+        refused as MALFORMED_FRAME (docs/protocol.md §3.3) and never
+        reaches the gateway."""
+        frontend = DeviceFrontend(_gateway(), clock=lambda: 0.0)
+        conn, stub = _conn(frontend)
+        body = _result_frame(1, gradient=np.ones(4))[framing.FRAME_HEADER.size :]
+        blob_at = framing.RESULT_BODY.size + 8 * NUM_LABELS
+        bomb = framing.BLOB_HEADER.pack(
+            framing.DTYPE_CODE["f32"], 4, len(deflate_bomb)
+        )
+        assert conn.dispatch(FrameType.RESULT, body[:blob_at] + bomb + deflate_bomb) is False
+        error = framing.unpack_error(stub.frames()[0][2])
+        assert error.code == ErrorCode.MALFORMED_FRAME
+        assert frontend.gateway.results_received() == 0
+
 
 # ---------------------------------------------------------------------------
 # Window backpressure and typed rejections (docs/protocol.md §7.1, §6.3)

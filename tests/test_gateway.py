@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -565,3 +567,96 @@ class TestLaneLifecycle:
             # Every row is a view into one (B, D) allocation.
             assert decoded.gradient.base is not None
             assert np.shares_memory(decoded.gradient, base.base)
+
+
+class TestStoredBlockIngest:
+    """The micro-batch and crash-parked results hold the uplink's
+    stored-block f32 form: no deflate on the in-process hop, rows
+    delivered bit-identical to what arrived."""
+
+    WIDE = 4096  # 16 KiB of f32: one stored block per blob
+
+    @classmethod
+    def _stored(cls, wire_bytes: int) -> bool:
+        """Every raw f32 byte is present, plus at most the zlib
+        framing: 5 bytes per stored block and 6 of header/trailer."""
+        raw = 4 * cls.WIDE
+        return raw < wire_bytes <= raw + 5 * math.ceil(raw / 65535) + 6
+
+    @classmethod
+    def _gradients(cls, workers, seed: int) -> dict[int, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        # f32-exact values: the codec's quantization is the identity.
+        return {
+            w: rng.normal(size=cls.WIDE).astype(np.float32).astype(np.float64)
+            for w in workers
+        }
+
+    @staticmethod
+    def _spy_deliveries(gateway: Gateway) -> list:
+        """Record every (held entry, delivered result) pair at decode."""
+        seen = []
+        decode = gateway.batcher.decode_entries
+
+        def spy(entries):
+            batch = decode(entries)
+            seen.extend(zip(entries, batch))
+            return batch
+
+        gateway.batcher.decode_entries = spy
+        return seen
+
+    def _assert_delivered_exactly(self, seen, gradients) -> None:
+        assert sorted(result.worker_id for _, result in seen) == sorted(gradients)
+        for entry, result in seen:
+            assert self._stored(entry.wire_bytes)
+            assert result.gradient.tobytes() == gradients[result.worker_id].tobytes()
+
+    @classmethod
+    def _wide_gateway(cls, batch_size: int, **kwargs) -> Gateway:
+        return Gateway.from_factory(
+            2,
+            lambda i: FleetServer(
+                make_fedavg(np.zeros(cls.WIDE), learning_rate=0.1),
+                IProf(),
+                SLO(time_seconds=3.0),
+            ),
+            GatewayConfig(batch_size=batch_size, batch_deadline_s=1e9, sync_every_s=1e9),
+            **kwargs,
+        )
+
+    def test_batch_holds_stored_blocks_and_delivers_exact_rows(self):
+        gateway = self._wide_gateway(batch_size=4)
+        seen = self._spy_deliveries(gateway)
+        gradients = self._gradients(range(12), seed=21)
+        for worker, gradient in gradients.items():
+            gateway.handle_result(_result(worker, gradient), now=0.0)
+        gateway.finalize(now=1.0)
+        # 8 raw bytes per element over 4 stored ones (+ block framing).
+        assert gateway.batcher.compression_ratio() == pytest.approx(2.0, rel=1e-3)
+        self._assert_delivered_exactly(seen, gradients)
+
+    def test_crash_parked_results_redeliver_exact_rows(self, tmp_path):
+        from repro.durability import DurabilitySpec
+
+        gateway = self._wide_gateway(
+            batch_size=100, durability=DurabilitySpec(root_dir=tmp_path / "dur")
+        )
+        victim = "shard-0"
+        workers = [w for w in range(40) if gateway.shard_for(w) == victim]
+        gradients = self._gradients(workers, seed=22)
+        half = len(workers) // 2
+        assert half > 0
+        # Half sit in the victim's micro-batch when it crashes; the rest
+        # arrive during the outage and are parked by _stash_crashed.
+        for worker in workers[:half]:
+            gateway.handle_result(_result(worker, gradients[worker]), now=0.0)
+        gateway.crash_shard(victim, now=1.0)
+        for worker in workers[half:]:
+            gateway.handle_result(_result(worker, gradients[worker]), now=2.0)
+        assert len(gateway._crash_pending[victim]) == len(workers)
+
+        seen = self._spy_deliveries(gateway)
+        gateway.failover(victim, now=3.0)
+        self._assert_delivered_exactly(seen, gradients)
+        assert gateway.shards[victim].results_applied == len(workers)
