@@ -23,9 +23,10 @@ from repro.api import FleetBuilder
 from repro.data import iid_split, make_mnist_like
 from repro.devices import SimulatedDevice, fleet_specs
 from repro.devices.device import DeviceFeatures
-from repro.gateway import AggregationCostModel, Gateway, GatewayConfig
+from repro.gateway import Gateway, GatewayConfig
 from repro.nn import build_logistic
 from repro.profiler import collect_offline_dataset
+from repro.runtime import AggregationCostModel
 from repro.server.protocol import TaskResult
 from repro.simulation import FleetSimConfig, FleetSimulation
 

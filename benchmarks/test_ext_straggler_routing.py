@@ -34,7 +34,8 @@ import numpy as np
 
 from repro.api import FleetBuilder, RoutingSpec, RuntimeSpec
 from repro.devices.device import DeviceFeatures
-from repro.gateway import AggregationCostModel, Gateway, GatewayConfig
+from repro.gateway import Gateway, GatewayConfig
+from repro.runtime import AggregationCostModel
 from repro.server.protocol import TaskAssignment, TaskRequest, TaskResult
 
 from conftest import BENCH_FULL, fmt_series

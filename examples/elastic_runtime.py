@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.api import ElasticityPolicy, FleetBuilder
 from repro.devices.device import DeviceFeatures
-from repro.gateway import AggregationCostModel, Gateway, GatewayConfig
+from repro.gateway import Gateway, GatewayConfig
+from repro.runtime import AggregationCostModel
 from repro.server.protocol import TaskAssignment, TaskRequest, TaskResult
 
 GRADIENT_DIM = 128

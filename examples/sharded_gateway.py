@@ -26,9 +26,10 @@ import numpy as np
 from repro.api import FleetBuilder
 from repro.data import iid_split, make_mnist_like
 from repro.devices import SimulatedDevice, fleet_specs
-from repro.gateway import AggregationCostModel, Gateway, GatewayConfig
+from repro.gateway import Gateway, GatewayConfig
 from repro.nn import build_logistic
 from repro.profiler import collect_offline_dataset
+from repro.runtime import AggregationCostModel
 from repro.simulation import FleetSimConfig, FleetSimulation
 
 

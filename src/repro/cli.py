@@ -258,7 +258,6 @@ def _cmd_fleet_sim(args: argparse.Namespace) -> int:
 
 def _cmd_gateway_sim(args: argparse.Namespace) -> int:
     from repro.gateway import (
-        AggregationCostModel,
         ElasticityPolicy,
         Gateway,
         GatewayConfig,
@@ -266,6 +265,7 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
         RoutingSpec,
         RuntimeSpec,
     )
+    from repro.runtime import AggregationCostModel
     from repro.server.telemetry import MetricsRegistry
     from repro.simulation import FleetSimConfig, FleetSimulation
 
@@ -468,7 +468,8 @@ def _cmd_frontend_sim(args: argparse.Namespace) -> int:
     """
     from repro.devices import SimulatedDevice, fleet_specs
     from repro.frontend import FrontendConfig, LoadGenConfig, run_loopback_sync
-    from repro.gateway import AggregationCostModel, Gateway, GatewayConfig
+    from repro.gateway import Gateway, GatewayConfig
+    from repro.runtime import AggregationCostModel
     from repro.server.telemetry import MetricsRegistry
     from repro.server.worker import Worker
 

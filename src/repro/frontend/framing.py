@@ -296,13 +296,23 @@ def pack_blob(gradient: np.ndarray | SparseGradient, codec: VectorCodec) -> byte
 
 
 def unpack_blob(
-    body: bytes, offset: int, codec: VectorCodec
+    body: bytes, offset: int, codec: VectorCodec, dimension: int | None = None
 ) -> tuple[np.ndarray | SparseGradient, int]:
-    """Decode one blob at ``offset``; return (vector, next offset)."""
+    """Decode one blob at ``offset``; return (vector, next offset).
+
+    ``dimension`` (the receiver's model size D) bounds what the sender
+    declares: a blob sized for any other model is refused before any
+    inflate or allocation.
+    """
     _require(len(body) >= offset + BLOB_HEADER.size, "truncated blob header")
     code, length, payload_len = BLOB_HEADER.unpack_from(body, offset)
     offset += BLOB_HEADER.size
     _require(len(body) >= offset + payload_len, "truncated blob payload")
+    if dimension is not None:
+        # A dense blob holds exactly D values, a sparse one at most D of D.
+        sparse = code == SPARSE_CODE and payload_len >= SPARSE_HEADER.size
+        size = SPARSE_HEADER.unpack_from(body, offset)[0] if sparse else length
+        _require(size == dimension >= length, f"blob of size {size}, model of {dimension}")
     payload = body[offset : offset + payload_len]
     offset += payload_len
     if code == SPARSE_CODE:
@@ -537,7 +547,8 @@ def pack_result(seq: int, result: TaskResult, codec: VectorCodec) -> bytes:
 
 
 def unpack_result(
-    body: bytes, worker_id: int, device_model: str, codec: VectorCodec
+    body: bytes, worker_id: int, device_model: str, codec: VectorCodec,
+    dimension: int | None = None,
 ) -> tuple[int, TaskResult]:
     _require(len(body) >= RESULT_BODY.size, "truncated RESULT")
     fields = RESULT_BODY.unpack_from(body)
@@ -545,7 +556,7 @@ def unpack_result(
     computation_time_s, energy_percent = fields[3], fields[4]
     features, num_labels = fields[5:10], fields[10]
     labels, offset = _unpack_labels(body, RESULT_BODY.size, num_labels)
-    gradient, offset = unpack_blob(body, offset, codec)
+    gradient, offset = unpack_blob(body, offset, codec, dimension)
     _require(offset == len(body), "RESULT length mismatch")
     result = TaskResult(
         worker_id=worker_id,

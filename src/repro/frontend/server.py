@@ -262,7 +262,8 @@ class _Connection:
             )
             return
         seq, result = framing.unpack_result(
-            body, self.hello.worker_id, self.hello.device_model, frontend.codec
+            body, self.hello.worker_id, self.hello.device_model, frontend.codec,
+            frontend.dimension,
         )
         applied = frontend.gateway.handle_result(result, now=frontend.now())
         self.unacked += 1
@@ -356,6 +357,8 @@ class DeviceFrontend:
     ) -> None:
         self.gateway = gateway
         self.config = config or FrontendConfig()
+        # Model size D: bounds every RESULT's gradient blob (protocol §3.3).
+        self.dimension = gateway.current_parameters().size
         self.codec = VectorCodec(
             precision=self.config.downlink_precision,
             compression_level=self.config.downlink_level,

@@ -7,7 +7,7 @@ from repro.gateway.batching import (
     decode_result,
     encode_result,
 )
-from repro.gateway.gateway import AggregationCostModel, Gateway, GatewayConfig
+from repro.gateway.gateway import Gateway, GatewayConfig
 from repro.gateway.hashing import ConsistentHashRing
 from repro.gateway.scheduling import (
     DeadlineAwareRouter,
@@ -22,7 +22,6 @@ from repro.runtime import ElasticityPolicy, RuntimeSpec
 __all__ = [
     "Gateway",
     "GatewayConfig",
-    "AggregationCostModel",
     "ObservabilitySpec",
     "RuntimeSpec",
     "ElasticityPolicy",

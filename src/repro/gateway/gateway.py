@@ -26,7 +26,9 @@ cannot tell the difference — but behind it:
   :class:`~repro.runtime.spec.RuntimeSpec` picks the substrate under that
   one path (inline on the caller's thread by default, or bounded worker
   lanes that shed when full) and may attach a queue-driven elasticity
-  controller that resizes the tier (:mod:`repro.runtime`);
+  controller that resizes the tier.  The runtime's lanes are also the
+  only model of virtual lane occupancy: the gateway's busy-time,
+  backlog, load and throughput accessors read them (:mod:`repro.runtime`);
 * **durability + failover** (optional) — every shard's deliveries are
   write-ahead logged and periodically checkpointed; a heartbeat failure
   detector declares silent shards dead and ``failover`` rebuilds them
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import math
 import threading
 import time
 from collections.abc import Callable
@@ -66,7 +67,7 @@ from repro.gateway.sync import ShardSynchronizer
 from repro.observability import EventJournal, ObservabilitySpec, UploadTracer
 from repro.observability.health import build_health_snapshot
 from repro.observability.slo import SLOEngine, SLOSpec
-from repro.runtime import ElasticityController, RuntimeSpec, ShardRuntime
+from repro.runtime import AggregationCostModel, ElasticityController, RuntimeSpec, ShardRuntime
 from repro.server.codec import VectorCodec
 from repro.server.protocol import (
     RejectionReason,
@@ -79,7 +80,7 @@ from repro.server.server import FleetServer
 from repro.server.stages import RequestStage, ResultStage
 from repro.server.telemetry import MetricsRegistry
 
-__all__ = ["GatewayConfig", "AggregationCostModel", "Gateway"]
+__all__ = ["GatewayConfig", "Gateway"]
 
 
 @dataclass(frozen=True)
@@ -114,30 +115,6 @@ class GatewayConfig:
             raise ValueError("admission_rate_per_s must be positive")
 
 
-@dataclass(frozen=True)
-class AggregationCostModel:
-    """Virtual service time of one batched shard update.
-
-    Models the fixed cost of an aggregation pass (lock, weight computation,
-    optimizer step, bookkeeping) plus a small per-gradient cost.  The fixed
-    part is what micro-batching amortizes; the per-shard serial lanes are
-    what sharding parallelizes.
-    """
-
-    per_flush_s: float = 0.05
-    per_result_s: float = 0.002
-
-    def service_time(self, batch_size: int) -> float:
-        return self.per_flush_s + self.per_result_s * batch_size
-
-
-# Time constant of the per-lane service-accrual EWMA that feeds routing
-# decisions: the load score remembers roughly this many seconds of recent
-# service, so it ranks shards by *rate* instead of by the flickering
-# instantaneous backlog of a lightly-utilized lane.
-_LOAD_EWMA_TAU_S = 30.0
-
-
 def _slo_latency_buckets(bound: float) -> tuple[float, ...]:
     """Latency histogram grid anchored on the SLO bound.
 
@@ -152,27 +129,6 @@ def _slo_staleness_buckets(bound: float) -> tuple[float, ...]:
     """Staleness histogram grid: exact zero bucket plus bound-anchored edges."""
     grid = {0.0} | {bound * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0)}
     return tuple(sorted(grid))
-
-
-@dataclass
-class _ShardLane:
-    """Serial service lane of one shard (virtual-time occupancy)."""
-
-    busy_until: float = 0.0
-    busy_seconds: float = 0.0
-    batches: int = 0
-    results: int = 0
-    # Exponentially-decayed seconds of recent service (routing signal).
-    load_ewma: float = 0.0
-    load_at: float = 0.0
-
-    def observe_service(self, service: float, now: float) -> None:
-        self.load_ewma = self.recent_load(now) + service
-        self.load_at = max(self.load_at, now)
-
-    def recent_load(self, now: float) -> float:
-        elapsed = max(0.0, now - self.load_at)
-        return self.load_ewma * math.exp(-elapsed / _LOAD_EWMA_TAU_S)
 
 
 class Gateway:
@@ -300,20 +256,14 @@ class Gateway:
             "gateway.rejections", self.rejection_counts
         )
 
-        self._lanes: dict[str, _ShardLane] = {  # guarded-by: _bookkeeping_lock
-            shard_id: _ShardLane() for shard_id in self._shards
-        }
-        # Aggregates retired by remove_shard: the leaver's delivered work,
-        # model updates and applied-result counts stay in the tier-wide
-        # accounting after the shard leaves — an elastic tier would
+        # Model updates and applied-result counts of shards retired by
+        # remove_shard stay in the tier-wide accounting (the runtime keeps
+        # their lanes' occupancy the same way) — an elastic tier would
         # otherwise erase history (and regress the monotone ``clock`` the
         # fleet simulation's eval trigger rides on) at every scale-down.
-        self._retired = _ShardLane()  # guarded-by: _bookkeeping_lock
-        self._retired_clock = 0  # guarded-by: _bookkeeping_lock
-        self._retired_results_applied = 0  # guarded-by: _bookkeeping_lock
-        # Guards _deliver's tier-wide bookkeeping: with a threaded runtime,
-        # deliveries of DIFFERENT shards run on concurrent lane threads.
-        self._bookkeeping_lock = threading.Lock()
+        # Written only on the caller's thread, after the lanes drain.
+        self._retired_clock = 0
+        self._retired_results_applied = 0
         # Per-shard guards for threads mode: a lane serializes deliveries
         # of ONE shard against each other, but the caller's thread still
         # serves handle_request (model pull, similarity, profiler reads)
@@ -577,17 +527,6 @@ class Gateway:
     # ------------------------------------------------------------------
     # Internal machinery
     # ------------------------------------------------------------------
-    def _apply_entries(self, shard_id: str, entries: list, now: float) -> bool:
-        """Decode a flushed, still-encoded batch and deliver it to its shard.
-
-        The full back half of the serving path — codec decode, stage
-        ``on_batch`` hooks, ``submit_many`` — and the job a shard's lane
-        runs.
-        """
-        batch = self.batcher.decode_entries(entries)
-        with self._shard_guard(shard_id):
-            return self._deliver(shard_id, entries, batch, now)
-
     def _stamp(self, entries: list, name: str) -> None:
         """Wall-clock stamp on every traced entry (threaded lanes only)."""
         if self.tracer is None or self.tracer.clock != "wall":
@@ -597,24 +536,30 @@ class Gateway:
             if entry.metadata.trace is not None:
                 entry.metadata.trace.stamp(name, at)
 
-    def _dispatch(self, shard_id: str, entries: list, now: float) -> bool:
+    def _dispatch(
+        self, shard_id: str, entries: list, now: float, inline: bool = False
+    ) -> bool:
         """Hand a flushed micro-batch (possibly empty) to the shard's lane.
 
-        Returns the model-updated outcome when the lane resolved it
-        already (inline lanes always have); a threaded lane resolves
-        later and this returns False — the caller's thread paid only for
-        encode + enqueue.  A full lane rejects the batch (counted by the
-        runtime).
+        The lane's job is the full back half of the serving path — codec
+        decode, stage ``on_batch`` hooks, ``submit_many``.  Returns the
+        model-updated outcome when the lane resolved it already (inline
+        lanes and ``inline`` batches always have); a threaded lane
+        resolves later and this returns False — the caller's thread paid
+        only for encode + enqueue.  A full lane rejects the batch
+        (counted by the runtime); an ``inline`` batch is never shed.
         """
         if not entries:
             return False
         self._stamp(entries, "flushed")
 
-        def job() -> bool:
+        def job(start: float, end: float) -> bool:
             self._stamp(entries, "job_start")
-            return self._apply_entries(shard_id, entries, now)
+            batch = self.batcher.decode_entries(entries)
+            with self._shard_guard(shard_id):
+                return self._deliver(shard_id, entries, batch, now, start, end)
 
-        ticket = self.runtime.submit(shard_id, len(entries), job, now)
+        ticket = self.runtime.submit(shard_id, len(entries), job, now, inline=inline)
         if ticket is None:
             # Lane-full shed: traced uploads in the dropped batch never
             # finish — count them so sampled-vs-finished stays auditable.
@@ -637,8 +582,11 @@ class Gateway:
         )
 
     def _deliver(
-        self, shard_id: str, entries: list, batch: list[TaskResult], now: float
+        self, shard_id: str, entries: list, batch: list[TaskResult], now: float,
+        start: float, end: float,
     ) -> bool:
+        """Apply a decoded batch; ``(start, end)`` is the lane service
+        window the runtime charged it."""
         shard = self._shards[shard_id]
         if self.staleness_hist is not None:
             # Staleness at apply time — the shard's clock is about to
@@ -659,21 +607,8 @@ class Gateway:
             # a quiescent shard.  A delivery is also proof of life.
             self.durability.maybe_checkpoint(shard_id, shard, now=now)
             self.detector.beat(shard_id, now)
-        # Without a cost model delivery is instantaneous in virtual time:
-        # the lane frees at `now` and the apply span is empty.
-        start, service = now, 0.0
-        with self._bookkeeping_lock:
-            self._batches.increment()
-            self._batch_sizes.observe(len(batch))
-            lane = self._lanes[shard_id]
-            lane.batches += 1
-            lane.results += len(batch)
-            if self.cost_model is not None:
-                start = max(now, lane.busy_until)
-                service = self.cost_model.service_time(len(batch))
-                lane.busy_until = start + service
-                lane.busy_seconds += service
-                lane.observe_service(service, now)
+        self._batches.increment()
+        self._batch_sizes.observe(len(batch))
         if self.upload_latency_hist is not None:
             # End-to-end upload latency: gateway admission (the encoded
             # entry's stamp) to lane completion, one vectorized observe
@@ -681,7 +616,7 @@ class Gateway:
             # their crash-era admission stamp — they DID wait that long.
             admitted = [entry.admitted_at for entry in entries]
             self.upload_latency_hist.observe_many(
-                (start + service) - np.asarray(admitted, dtype=np.float64)
+                end - np.asarray(admitted, dtype=np.float64)
             )
         if self.tracer is not None:
             # Finish every traced upload in the batch — including those a
@@ -694,7 +629,7 @@ class Gateway:
                         batch_size=len(batch),
                         flushed=now,
                         lane_start=start,
-                        lane_end=start + service,
+                        lane_end=end,
                     )
         return updated
 
@@ -814,8 +749,6 @@ class Gateway:
             self.synchronize(now)
         shard.optimizer.set_parameters(self.synchronizer.blend(self._shards))
         self._shards[shard_id] = shard
-        with self._bookkeeping_lock:
-            self._lanes[shard_id] = _ShardLane()
         self._shard_locks[shard_id] = threading.Lock()
         self.router.add_shard(shard_id, now)
         self.runtime.add_lane(shard_id)
@@ -835,12 +768,9 @@ class Gateway:
             raise ValueError("cannot remove the last shard")
         now = self._advance(now)
         self.runtime.drain()  # quiesce lanes before draining the leaver
-        entries = self.batcher.flush_encoded(shard_id)
-        if entries:
-            # Applied directly, not through the lane: the leaver's
-            # learning must be in its model before the farewell sync, and
-            # a shard on its way out cannot be queue-shed.
-            self._apply_entries(shard_id, entries, now)
+        # Inline: the leaver's learning must be in its model before the
+        # farewell sync, and a shard on its way out cannot be queue-shed.
+        self._dispatch(shard_id, self.batcher.flush_encoded(shard_id), now, inline=True)
         self.batcher.drop(shard_id)
         # One sync while the leaver still participates: its updates enter
         # the consensus, so removing it afterwards loses nothing.
@@ -853,16 +783,8 @@ class Gateway:
             self.detector.deregister(shard_id)
         shard = self._shards.pop(shard_id)
         self.router.remove_shard(shard_id, now)
-        with self._bookkeeping_lock:
-            lane = self._lanes.pop(shard_id)
-            self._retired.busy_until = max(
-                self._retired.busy_until, lane.busy_until
-            )
-            self._retired.busy_seconds += lane.busy_seconds
-            self._retired.batches += lane.batches
-            self._retired.results += lane.results
-            self._retired_clock += shard.clock
-            self._retired_results_applied += shard.results_applied
+        self._retired_clock += shard.clock
+        self._retired_results_applied += shard.results_applied
         self.runtime.drop_lane(shard_id)
         self._shard_locks.pop(shard_id, None)
         self._inflight = {
@@ -969,31 +891,26 @@ class Gateway:
                 "shard_factory=)"
             )
         crashed_at = self._crashed[shard_id]
-        self.journal.failover_start(
-            now, shard_id, epoch=getattr(self.router, "_epoch", 0)
-        )
+        self.journal.failover_start(now, shard_id, epoch=self.router.epoch)
         fresh = self._shard_factory(self._shards_built)
         self._shards_built += 1
         report = self.durability.restore(shard_id, fresh, now=now)
         self._shards[shard_id] = fresh
         self._crashed.pop(shard_id)
         self._crashed_counters.pop(shard_id, None)
-        with self._bookkeeping_lock:
-            self._lanes.setdefault(shard_id, _ShardLane())
         self._shard_locks.setdefault(shard_id, threading.Lock())
         self.runtime.add_lane(shard_id)
         self.detector.revive(shard_id, now)
         self.router.on_failover(shard_id, now)
         parked = self._crash_pending.pop(shard_id, [])
-        if parked:
-            # Applied directly: a restored shard cannot be queue-shed.
-            self._apply_entries(shard_id, parked, now)
+        # Inline: a restored shard cannot be queue-shed.
+        self._dispatch(shard_id, parked, now, inline=True)
         recovery_s = now - crashed_at
         self._recovery_hist.observe(recovery_s)
         self.journal.failover_done(
             now,
             shard_id,
-            epoch=getattr(self.router, "_epoch", 0),
+            epoch=self.router.epoch,
             recovery_s=recovery_s,
             checkpoint_wal_seq=report.checkpoint_wal_seq,
             replayed_records=report.replayed_records,
@@ -1020,51 +937,20 @@ class Gateway:
         Includes lanes retired by ``remove_shard``, so the autoscaler's
         window deltas stay monotone across scale-down events.
         """
-        with self._bookkeeping_lock:
-            return (
-                sum(lane.busy_seconds for lane in self._lanes.values())
-                + self._retired.busy_seconds
-            )
+        return self.runtime.totals().busy_seconds
 
     def max_backlog_s(self, now: float | None = None) -> float:
         """Deepest lane's unfinished virtual work, in seconds."""
-        now = self._now if now is None else now
-        with self._bookkeeping_lock:
-            if not self._lanes:
-                return 0.0
-            return max(
-                0.0,
-                max(lane.busy_until for lane in self._lanes.values()) - now,
-            )
+        return self.runtime.max_backlog_s(self._now if now is None else now)
 
     def shard_load(self, shard_id: str, now: float | None = None) -> float:
         """Live load of one shard, in seconds of work (routing signal).
 
-        Takes the larger of the lane's recently-accrued service time (an
-        EWMA, so the score ranks shards by service *rate* even when
-        queues drain between arrivals) and its unfinished backlog — the
-        deeper of the gateway's own occupancy model and the runtime's
-        queue model (queue depth × the
-        :class:`~repro.runtime.telemetry.ServiceTimeEstimator` mean on
-        the threads executor, 0 for a sync lane).  ``max`` rather than a
-        sum because a just-delivered batch appears in EVERY term until
-        its occupancy drains; summing would score it twice.  Under light
-        load the EWMA dominates (a drained queue still ranks by rate);
-        under overload the backlog dominates (the EWMA saturates at
-        rate × its time constant while queues grow without bound).
-        Seconds of recently-shed work are added on top — shed batches
-        are in neither term.  Without a cost model every term is 0.0 and
-        routers fall back to their own placement counters.
+        Its runtime lane's :meth:`~repro.runtime.runtime.ShardRuntime.load_s`
+        (``KeyError`` for an unknown shard).  Without a cost model the
+        load is 0.0 and routers fall back to their own placement counters.
         """
-        now = self._now if now is None else now
-        with self._bookkeeping_lock:
-            if shard_id not in self._lanes:
-                raise KeyError(f"unknown shard {shard_id!r}")
-            lane = self._lanes[shard_id]
-            recent = lane.recent_load(now)
-            busy_until = lane.busy_until
-        backlog = max(busy_until - now, self.runtime.backlog_s(shard_id, now))
-        return max(recent, backlog) + self.runtime.recent_shed_s(shard_id, now)
+        return self.runtime.load_s(shard_id, self._now if now is None else now)
 
     # ------------------------------------------------------------------
     # Introspection (FleetServer-compatible surface + gateway extras)
@@ -1131,21 +1017,17 @@ class Gateway:
         applied by since-removed shards remain counted, and a crashed
         shard's last observed clock holds its place until failover —
         WAL replay restores exactly that clock, so the sum never dips)."""
-        with self._bookkeeping_lock:
-            retired_clock = self._retired_clock
         return (
             sum(shard.clock for shard in self._shards.values())
-            + retired_clock
+            + self._retired_clock
             + sum(clock for clock, _ in self._crashed_counters.values())
         )
 
     @property
     def results_applied(self) -> int:
-        with self._bookkeeping_lock:
-            retired_applied = self._retired_results_applied
         return (
             sum(shard.results_applied for shard in self._shards.values())
-            + retired_applied
+            + self._retired_results_applied
             + sum(applied for _, applied in self._crashed_counters.values())
         )
 
@@ -1186,37 +1068,24 @@ class Gateway:
         drains (queueing included); without one, until the last result
         arrived.  This is the scaling benchmark's headline number.
         """
-        with self._bookkeeping_lock:
-            delivered = (
-                sum(lane.results for lane in self._lanes.values())
-                + self._retired.results
-            )
-            busiest = max(
-                max(
-                    (lane.busy_until for lane in self._lanes.values()),
-                    default=0.0,
-                ),
-                self._retired.busy_until,
-            )
-        if delivered == 0 or self._first_result_time is None:
+        totals = self.runtime.totals()
+        if totals.results == 0 or self._first_result_time is None:
             return 0.0
         if self.cost_model is not None:
-            end = busiest
+            end = totals.busy_until
         else:
             end = self._last_result_time
         elapsed = end - self._first_result_time
         if elapsed <= 0:
             return float("inf")
-        return delivered / elapsed
+        return totals.results / elapsed
 
     def report(self) -> str:
         """Text dump of the gateway metrics plus per-shard lane stats."""
         lines = [self.metrics.report()]
         for shard_id in sorted(self._shards):
             shard = self._shards[shard_id]
-            with self._bookkeeping_lock:
-                lane = self._lanes[shard_id]
-                batches, busy = lane.batches, lane.busy_seconds
+            batches, busy = self.runtime.lane_usage(shard_id)
             lines.append(
                 f"{shard_id}: clock={shard.clock} applied={shard.results_applied} "
                 f"batches={batches} busy={busy:.2f}s"

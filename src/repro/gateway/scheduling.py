@@ -125,6 +125,9 @@ class Router:
     def __init__(self, replicas: int = 128) -> None:
         self.ring = ConsistentHashRing(replicas=replicas)
         self._gateway = None
+        # Membership epoch: bumped by routers that rehash on membership
+        # changes; the identity router's placement never depends on it.
+        self.epoch = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -208,7 +211,6 @@ class DeadlineAwareRouter(Router):
         self._steered: dict[int, str] = {}
         self._steered_at: dict[int, float] = {}
         self._steered_count: dict[str, int] = {}
-        self._epoch = 0
         self.reassignments = 0
         # The bound gateway's event journal (when it has one): every
         # steer/move/release lands there with the scores that drove it.
@@ -291,7 +293,7 @@ class DeadlineAwareRouter(Router):
         salt = 0
         while len(picks) < self.spec.candidates:
             index = _stable_hash(
-                self.spec.seed, worker_id, self._epoch, salt
+                self.spec.seed, worker_id, self.epoch, salt
             ) % len(nodes)
             if nodes[index] not in picks:
                 picks.append(nodes[index])
@@ -410,7 +412,7 @@ class DeadlineAwareRouter(Router):
     # Membership: bounded reassignment
     # ------------------------------------------------------------------
     def _on_membership(self, now: float, removed: str | None = None) -> None:
-        self._epoch += 1
+        self.epoch += 1
         if removed is not None:
             # Forced moves: every straggler steered to the leaver re-picks
             # its best candidate, in worker order — deterministic, and

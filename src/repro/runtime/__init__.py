@@ -10,7 +10,9 @@ and when a flushed micro-batch actually executes:
   lane per shard running decode → stage ``on_batch`` → ``submit_many``
   for every flushed micro-batch.  A sync lane runs it inline and never
   sheds; an async lane sits behind a bounded queue, off the caller's
-  thread on the threads executor (:mod:`repro.runtime.runtime`);
+  thread on the threads executor.  Its lanes are the tier's only model
+  of virtual lane occupancy — busy time, backlog and the routing load
+  signal all read it (:mod:`repro.runtime.runtime`);
 * :class:`VirtualLaneExecutor` / :class:`ThreadLaneExecutor` — the two
   execution substrates: a deterministic discrete-event mode that is
   bit-identical to the synchronous path, and a thread pool for wall-clock
@@ -19,8 +21,9 @@ and when a flushed micro-batch actually executes:
   occupancy, backlog and shed rate over a sliding window and calls the
   gateway's ``scale_up``/``scale_down`` between configurable bounds
   (:mod:`repro.runtime.elasticity`);
-* :class:`ServiceTimeEstimator` — fits observed batch service times back
-  into an :class:`~repro.gateway.gateway.AggregationCostModel`
+* :class:`AggregationCostModel` — the assumed affine service time the
+  lanes charge per batch, and :class:`ServiceTimeEstimator`, which fits
+  observed batch service times back into one
   (:mod:`repro.runtime.telemetry`).
 """
 
@@ -36,9 +39,10 @@ from repro.runtime.executors import (
 )
 from repro.runtime.runtime import ShardRuntime
 from repro.runtime.spec import RuntimeSpec
-from repro.runtime.telemetry import ServiceTimeEstimator
+from repro.runtime.telemetry import AggregationCostModel, ServiceTimeEstimator
 
 __all__ = [
+    "AggregationCostModel",
     "RuntimeSpec",
     "ShardRuntime",
     "BatchTicket",

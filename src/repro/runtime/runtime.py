@@ -2,33 +2,36 @@
 
 The gateway hands every flushed micro-batch to :meth:`ShardRuntime.submit`
 as an opaque job (decode → stage ``on_batch`` → ``submit_many``, closed
-over the shard) — it is the gateway's only delivery path.  A ``"sync"``
-spec builds lanes that run the job inline, never shed and take no part in
-the queue model (depth, backlog and shed signals all read 0); for an
-``"async"`` spec the runtime's responsibilities around that job are:
+over the shard) — it is the gateway's only delivery path.  Around that
+job the runtime owns:
 
-* **admission to the lane** — each shard lane holds at most
+* **lane occupancy** — the tier's only model of virtual lane time: every
+  admitted batch, in every mode, is charged once, at admission, from
+  ``max(now, busy_until)`` for the cost model's service time, and the job
+  receives that ``(start, end)``.  Busy time, backlog, the routing load
+  signal and throughput all read these lanes (retired ones included);
+* **admission to the lane** — an ``"async"`` lane holds at most
   ``queue_capacity`` unfinished micro-batches; a batch arriving to a full
-  lane is rejected (counted per batch and per result) instead of queueing
-  without bound;
-* **occupancy modeling** — on the virtual executor, jobs execute inline
-  (deterministically) but *occupy* their lane for the cost model's service
-  time of virtual clock, so queue depth and backlog are real signals for
-  the autoscaler even though state mutation is immediate.  On the thread
-  executor the queue depth is literal and service time is wall-clock;
+  (or crashed) lane is rejected (counted per batch and per result)
+  instead of queueing without bound.  A ``"sync"`` lane, and any batch
+  submitted ``inline``, runs now on the caller's thread and never sheds
+  (its queue depth reads 0).  On the virtual executor an async batch
+  executes inline too, but counts as queued until its modeled ``end``, so
+  depth is a real autoscaler signal; on the thread executor it is literal;
 * **telemetry** — queue depth at enqueue, per-batch service time,
   executed/rejected counters — all exported through the gateway's
   :class:`~repro.server.telemetry.MetricsRegistry`.  Wall-clock service
   measurements (threads executor only — the virtual executor's service
   times are the cost model's own output, and feeding them back would be
   circular) also flow into a
-  :class:`~repro.runtime.telemetry.ServiceTimeEstimator` so the affine
-  :class:`~repro.gateway.gateway.AggregationCostModel` can be re-fitted
-  from observation.
+  :class:`~repro.runtime.telemetry.ServiceTimeEstimator` so the cost
+  model can be re-fitted from observation.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 import time
 from collections import deque
@@ -42,35 +45,66 @@ from repro.runtime.executors import (
     VirtualLaneExecutor,
 )
 from repro.runtime.spec import RuntimeSpec
-from repro.runtime.telemetry import ServiceTimeEstimator
+from repro.runtime.telemetry import AggregationCostModel, ServiceTimeEstimator
 
-if TYPE_CHECKING:  # annotation-only: runtime must not import the gateway
-    from repro.gateway.gateway import AggregationCostModel
+if TYPE_CHECKING:
     from repro.observability import EventJournal
     from repro.server.telemetry import MetricsRegistry
 
 __all__ = ["ShardRuntime"]
 
+# Time constant of the per-lane service-accrual EWMA that feeds routing
+# decisions: the load score remembers roughly this many seconds of recent
+# service, so it ranks shards by *rate* instead of by the flickering
+# instantaneous backlog of a lightly-utilized lane.
+_LOAD_TAU_S = 30.0
+
 
 @dataclass
 class _LaneState:
-    """Virtual occupancy of one shard lane (the queue model).
+    """Virtual occupancy of one shard lane.
 
-    ``finishes`` holds the modeled completion time of every unfinished
-    micro-batch, oldest first; the lane is busy until ``finishes[-1]``.
-    The formula mirrors the gateway's ``_ShardLane`` throughput accounting
-    by design — the runtime applies it at *admission* (before the job
-    runs, so capacity checks can shed), the gateway at *delivery*.
-    ``rejects`` remembers the most recent capacity sheds as
-    ``(time, batch_size)`` pairs — a bounded trace the router reads as a
-    per-shard "recently overloaded" pressure signal.
+    ``load_ewma`` is the service accrued recently, decayed with a
+    ``_LOAD_TAU_S`` time constant from ``load_at``.  ``finishes`` holds
+    the modeled completion time of every unfinished batch of a virtual
+    async lane, oldest first (its queue).  ``rejects`` remembers the most
+    recent capacity sheds as ``(time, batch_size)`` pairs — a bounded
+    trace the router reads as a per-shard "recently overloaded" pressure
+    signal.
     """
 
+    busy_until: float = 0.0
+    busy_seconds: float = 0.0
+    batches: int = 0
+    results: int = 0
+    load_ewma: float = 0.0
+    load_at: float = 0.0
     finishes: deque = field(default_factory=deque)
     rejects: deque = field(default_factory=lambda: deque(maxlen=128))
 
-    def busy_until(self, now: float) -> float:
-        return self.finishes[-1] if self.finishes else now
+    def charge(
+        self, batch_size: int, service: float, now: float
+    ) -> tuple[float, float]:
+        """Occupy the lane with one batch; return its ``(start, end)``."""
+        start = max(now, self.busy_until)
+        self.busy_until = start + service
+        self.busy_seconds += service
+        self.batches += 1
+        self.results += batch_size
+        self.load_ewma = self.recent_load(now) + service
+        self.load_at = max(self.load_at, now)
+        return start, self.busy_until
+
+    def recent_load(self, now: float) -> float:
+        elapsed = max(0.0, now - self.load_at)
+        return self.load_ewma * math.exp(-elapsed / _LOAD_TAU_S)
+
+    def absorb(self, other: "_LaneState") -> None:
+        """Fold another lane's accrued occupancy into this one."""
+        self.busy_until = max(self.busy_until, other.busy_until)
+        self.busy_seconds += other.busy_seconds
+        self.batches += other.batches
+        self.results += other.results
 
 
 class ShardRuntime:
@@ -80,7 +114,7 @@ class ShardRuntime:
         self,
         spec: RuntimeSpec,
         metrics: "MetricsRegistry",
-        cost_model: "AggregationCostModel | None",
+        cost_model: AggregationCostModel | None,
         journal: "EventJournal",
     ) -> None:
         self.spec = spec
@@ -93,15 +127,21 @@ class ShardRuntime:
         # happens under the telemetry lock.
         self.estimator = ServiceTimeEstimator()  # guarded-by: _telemetry_lock
         # The one place sync and async delivery differ: a sync lane runs
-        # the job inline and bypasses admission and the queue model.
+        # the job inline and bypasses admission and the queue signals.
         self._inline = spec.mode == "sync"
         self._virtual = self._inline or spec.executor == "virtual"
+        # Runs inline batches on every executor (all of a virtual lane's).
+        self._inline_executor = VirtualLaneExecutor()
         self.executor = (
-            VirtualLaneExecutor()
+            self._inline_executor
             if self._virtual
             else ThreadLaneExecutor(workers=spec.workers)
         )
+        # Lane state is touched only on the caller's thread: batches are
+        # charged at admission, never from a lane job.
         self._lanes: dict[str, _LaneState] = {}
+        # Occupancy of lanes dropped by drop_lane, folded into one.
+        self._retired = _LaneState()
         self._dead_lanes: set[str] = set()
         # Guards telemetry shared across lane threads (counters, summary
         # deques, the estimator's running sums).  Uncontended in virtual
@@ -134,7 +174,10 @@ class ShardRuntime:
         self._dead_lanes.discard(shard_id)
 
     def drop_lane(self, shard_id: str) -> None:
-        self._lanes.pop(shard_id, None)
+        """Retire a lane; its occupancy stays in the tier-wide totals."""
+        lane = self._lanes.pop(shard_id, None)
+        if lane is not None:
+            self._retired.absorb(lane)
         self._dead_lanes.discard(shard_id)
         self.executor.drop_lane(shard_id)
 
@@ -142,11 +185,12 @@ class ShardRuntime:
     # Lane liveness (crash injection + failure detection)
     # ------------------------------------------------------------------
     def fail_lane(self, shard_id: str) -> None:
-        """Kill a lane: queued occupancy is lost, submissions bounce.
+        """Kill a lane: queued batches are lost, submissions bounce.
 
         Models a shard process crash — the in-flight micro-batches on the
         lane die with it (at-most-once for work past the WAL), and the
-        lane stops accepting jobs until :meth:`add_lane` revives it.
+        lane stops accepting jobs until :meth:`add_lane` revives it.  The
+        lane's accrued occupancy stays: it was served.
         """
         self._dead_lanes.add(shard_id)
         lane = self._lanes.get(shard_id)
@@ -163,7 +207,7 @@ class ShardRuntime:
         return not self._virtual
 
     # ------------------------------------------------------------------
-    # Queue-depth signals
+    # Occupancy and queue signals
     # ------------------------------------------------------------------
     def _prune(self, lane: _LaneState, now: float) -> None:
         while lane.finishes and lane.finishes[0] <= now:
@@ -191,21 +235,40 @@ class ShardRuntime:
         return max(self.queue_depth(shard_id, now) for shard_id in self._lanes)
 
     def backlog_s(self, shard_id: str, now: float) -> float:
-        """Seconds of unfinished work in the shard's lane.
+        """Seconds of virtual work the shard's lane has yet to finish."""
+        lane = self._lanes.get(shard_id)
+        if lane is None:
+            return 0.0
+        return max(0.0, lane.busy_until - now)
 
-        Virtual mode reads the lane's modeled completion times exactly;
-        threads mode estimates ``pending × mean observed service time``
-        (the pending batches' own sizes are unknown until they run), which
-        is 0.0 until the first batch has been measured.
+    def max_backlog_s(self, now: float) -> float:
+        """Deepest lane's unfinished virtual work, in seconds."""
+        return max((self.backlog_s(shard, now) for shard in self._lanes), default=0.0)
+
+    def load_s(self, shard_id: str, now: float) -> float:
+        """Live load of one lane in seconds of work (``KeyError`` if none).
+
+        The larger of its decayed recent service (which ranks lanes by
+        service *rate* even when queues drain between arrivals) and its
+        backlog (which dominates under overload, when the decayed sum
+        saturates) — not their sum, which would count a just-admitted
+        batch twice — plus the seconds of work it recently shed.
         """
-        if self._virtual:
-            lane = self._lanes.get(shard_id)
-            if lane is None:
-                return 0.0
-            return max(0.0, lane.busy_until(now) - now)
-        pending = self.executor.pending(shard_id)
-        with self._telemetry_lock:
-            return pending * self.estimator.mean_service_s()
+        lane = self._lanes[shard_id]
+        busy = max(lane.recent_load(now), lane.busy_until - now)
+        return busy + self.recent_shed_s(shard_id, now)
+
+    def lane_usage(self, shard_id: str) -> tuple[int, float]:
+        """``(batches, busy_seconds)`` charged to one live lane."""
+        lane = self._lanes[shard_id]
+        return lane.batches, lane.busy_seconds
+
+    def totals(self) -> _LaneState:
+        """Occupancy of every lane, retired lanes included, folded into one."""
+        total = _LaneState()
+        for lane in [*self._lanes.values(), self._retired]:
+            total.absorb(lane)
+        return total
 
     def recent_shed_s(
         self, shard_id: str, now: float, window_s: float = 60.0
@@ -240,61 +303,66 @@ class ShardRuntime:
         self,
         shard_id: str,
         batch_size: int,
-        job: Callable[[], object],
+        job: Callable[[float, float], object],
         now: float,
+        inline: bool = False,
     ) -> BatchTicket | None:
         """Queue one micro-batch on its shard's lane; None when shed.
 
-        A full lane rejects the whole batch — the caller already removed
-        it from the micro-batcher, so rejection here is a deliberate,
-        counted drop (queue-pressure load shedding), mirrored to the
-        autoscaler through the rejection counters.  A sync lane never
-        sheds: the job runs now, on the caller's thread.
+        ``job`` is called with the batch's lane ``(start, end)``.  A full
+        or crashed async lane rejects the whole batch — the caller already
+        removed it from the micro-batcher, so rejection here is a
+        deliberate, counted drop (queue-pressure load shedding), mirrored
+        to the autoscaler through the rejection counters.  A sync lane
+        never sheds, and neither does an ``inline`` batch: the job runs
+        now, on the caller's thread.
         """
-        if self._inline:
-            ticket = BatchTicket()
-            self._batches.increment()
-            self.executor.submit(shard_id, job, ticket)
-            return ticket
-        if shard_id in self._dead_lanes:
-            # A dead lane sheds everything: the batch is counted like a
-            # capacity drop so loss accounting stays honest during the
-            # crash-to-failover window.
-            self._rejected_batches.increment()
-            self._rejected_results.increment(batch_size)
-            self._journal.lane_shed(now, shard_id, batch_size, 0)
-            return None
-        lane = self._lanes.setdefault(shard_id, _LaneState())
-        depth = self.queue_depth(shard_id, now)
-        if depth >= self.spec.queue_capacity:
-            self._rejected_batches.increment()
-            self._rejected_results.increment(batch_size)
-            lane.rejects.append((now, batch_size))
-            self._journal.lane_shed(now, shard_id, batch_size, depth)
-            return None
-        self._depth_summary.observe(depth)
+        lane = self._lanes[shard_id]  # every shard's lane opens at add_lane
+        inline = inline or self._inline
+        if not inline:
+            if shard_id in self._dead_lanes:
+                # A dead lane sheds everything: the batch is counted like
+                # a capacity drop so loss accounting stays honest during
+                # the crash-to-failover window.
+                self._rejected_batches.increment()
+                self._rejected_results.increment(batch_size)
+                self._journal.lane_shed(now, shard_id, batch_size, 0)
+                return None
+            depth = self.queue_depth(shard_id, now)
+            if depth >= self.spec.queue_capacity:
+                self._rejected_batches.increment()
+                self._rejected_results.increment(batch_size)
+                lane.rejects.append((now, batch_size))
+                self._journal.lane_shed(now, shard_id, batch_size, depth)
+                return None
+            self._depth_summary.observe(depth)
 
+        service = (
+            self.cost_model.service_time(batch_size)
+            if self.cost_model is not None
+            else 0.0
+        )
+        start, end = lane.charge(batch_size, service, now)
         ticket = BatchTicket()
-        if self._virtual:
-            service = (
-                self.cost_model.service_time(batch_size)
-                if self.cost_model is not None
-                else 0.0
-            )
-            lane.finishes.append(max(now, lane.busy_until(now)) + service)
+        if inline or self._virtual:
             self._batches.increment()
-            # Modeled service time is telemetry, but NOT estimator food:
-            # feeding the cost model's own output back would make the
-            # "fitted" model a circular echo of the assumed one.  Only
-            # the threads executor measures real wall-clock service.
-            self._service_summary.observe(service)
-            self.executor.submit(shard_id, job, ticket)
+            if self._virtual and not self._inline:
+                # Async virtual lane: the batch stays queued until its
+                # modeled end.  Modeled service time is telemetry, but
+                # NOT estimator food: feeding the cost model's own output
+                # back would make the "fitted" model a circular echo of
+                # the assumed one.
+                lane.finishes.append(end)
+                self._service_summary.observe(service)
+            self._inline_executor.submit(
+                shard_id, functools.partial(job, start, end), ticket
+            )
             return ticket
 
         def timed_job() -> object:
             started = time.perf_counter()
             try:
-                return job()
+                return job(start, end)
             finally:
                 elapsed = time.perf_counter() - started
                 with self._telemetry_lock:

@@ -31,8 +31,9 @@ class RuntimeSpec:
     picks the lane's contract.  ``"sync"`` (what a gateway built without
     a spec gets) runs the batch inline on the caller's thread, never
     sheds and reports no queue signal — ``executor``, ``workers`` and
-    ``queue_capacity`` do not apply.  ``"async"`` bounds the lane and
-    models (or measures) its occupancy; ``executor`` then picks the
+    ``queue_capacity`` do not apply.  Either way the lane charges every
+    batch its virtual service time.  ``"async"`` bounds the lane and
+    models (or measures) its queue; ``executor`` then picks the
     substrate: ``"virtual"`` executes inline on the discrete-event clock
     — deterministic, bit-identical to a sync lane with ample queue
     capacity — while ``"threads"`` runs lanes on a shared

@@ -1,17 +1,37 @@
-"""Runtime telemetry helpers: fitting observed service times.
+"""Service-time models of a shard lane: the assumed cost and its fit.
 
-The gateway's :class:`~repro.gateway.gateway.AggregationCostModel` is an
-*assumed* affine cost ``per_flush_s + per_result_s * B``.  The runtime
-observes the real thing — one ``(batch_size, service_seconds)`` sample per
-executed micro-batch — and this estimator closes the loop: a least-squares
-fit of the same affine form, exportable as a fresh cost model so capacity
-planning (and the virtual-time benchmarks) can use measured coefficients
-instead of guessed ones.
+:class:`AggregationCostModel` is the *assumed* affine cost
+``per_flush_s + per_result_s * B`` that the runtime charges to a lane's
+virtual clock for every admitted micro-batch.  The threads executor
+observes the real thing — one ``(batch_size, service_seconds)`` sample
+per executed micro-batch — and :class:`ServiceTimeEstimator` closes the
+loop: a least-squares fit of the same affine form, exportable as a fresh
+cost model so capacity planning (and the virtual-time benchmarks) can use
+measured coefficients instead of guessed ones.
 """
 
 from __future__ import annotations
 
-__all__ = ["ServiceTimeEstimator"]
+from dataclasses import dataclass
+
+__all__ = ["AggregationCostModel", "ServiceTimeEstimator"]
+
+
+@dataclass(frozen=True)
+class AggregationCostModel:
+    """Virtual service time of one batched shard update.
+
+    Models the fixed cost of an aggregation pass (lock, weight computation,
+    optimizer step, bookkeeping) plus a small per-gradient cost.  The fixed
+    part is what micro-batching amortizes; the per-shard serial lanes are
+    what sharding parallelizes.
+    """
+
+    per_flush_s: float = 0.05
+    per_result_s: float = 0.002
+
+    def service_time(self, batch_size: int) -> float:
+        return self.per_flush_s + self.per_result_s * batch_size
 
 
 class ServiceTimeEstimator:
@@ -72,10 +92,8 @@ class ServiceTimeEstimator:
         intercept = mean_s - slope * mean_b
         return max(0.0, intercept), max(0.0, slope)
 
-    def fitted_cost_model(self):
+    def fitted_cost_model(self) -> AggregationCostModel | None:
         """The fit as an :class:`AggregationCostModel`; None with no data."""
-        from repro.gateway.gateway import AggregationCostModel
-
         fit = self.coefficients()
         if fit is None:
             return None

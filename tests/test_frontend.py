@@ -13,6 +13,8 @@ zero acked loss (§7.3), and graceful drain (§8).
 from __future__ import annotations
 
 import asyncio
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -358,6 +360,29 @@ class TestHandshake:
         error = framing.unpack_error(stub.frames()[0][2])
         assert error.code == ErrorCode.MALFORMED_FRAME
         assert frontend.gateway.results_received() == 0
+
+    def test_declared_length_never_sizes_a_buffer(self):
+        """A RESULT declaring 2**30 f32 (not the model's D) is refused as
+        MALFORMED_FRAME before its payload is inflated (docs/protocol.md
+        §3.3): the peak allocation stays within twice the frame."""
+        frontend = DeviceFrontend(_gateway(), clock=lambda: 0.0)
+        conn, stub = _conn(frontend)
+        body = _result_frame(1)[framing.FRAME_HEADER.size :]
+        blob_at = framing.RESULT_BODY.size + 8 * NUM_LABELS
+        payload = zlib.compress(bytes(16 << 20))  # 16 MiB of zeros
+        header = framing.BLOB_HEADER.pack(framing.DTYPE_CODE["f32"], 2**30, len(payload))
+        body = body[:blob_at] + header + payload
+        tracemalloc.start()
+        try:
+            alive = conn.dispatch(FrameType.RESULT, body)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert alive is False
+        error = framing.unpack_error(stub.frames()[0][2])
+        assert error.code == ErrorCode.MALFORMED_FRAME
+        assert frontend.gateway.results_received() == 0
+        assert peak <= 2 * (framing.FRAME_HEADER.size + len(body))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.core import make_fedavg
 from repro.core.adasgd import GradientUpdate
 from repro.devices.device import DeviceFeatures
 from repro.gateway import (
-    AggregationCostModel,
     ConsistentHashRing,
     Gateway,
     GatewayConfig,
@@ -20,6 +19,7 @@ from repro.gateway import (
     TokenBucket,
 )
 from repro.profiler import IProf, SLO
+from repro.runtime import AggregationCostModel
 from repro.server import FleetServer, VectorCodec
 from repro.server.protocol import RejectionReason, TaskRejection, TaskResult
 
@@ -502,7 +502,7 @@ class TestShardRetirement:
         # The retired lane is gone everywhere: batcher, runtime, locks.
         assert gateway.batcher.pending(removed) == 0
         assert gateway.runtime.queue_depth(removed, now=2.0) == 0
-        assert removed not in gateway._lanes
+        assert removed not in gateway.runtime._lanes
         # Nothing the leaver held was lost.
         assert gateway.results_applied >= pending_total - (
             gateway.batcher.total_pending()

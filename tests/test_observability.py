@@ -18,12 +18,7 @@ import pytest
 
 from repro.api import FleetBuilder, RuntimeSpec
 from repro.devices.device import DeviceFeatures
-from repro.gateway import (
-    AggregationCostModel,
-    Gateway,
-    GatewayConfig,
-    ObservabilitySpec,
-)
+from repro.gateway import Gateway, GatewayConfig, ObservabilitySpec
 from repro.observability import (
     EventJournal,
     FinishedTrace,
@@ -37,6 +32,7 @@ from repro.observability import (
     render_prometheus,
     sanitize_metric_name,
 )
+from repro.runtime import AggregationCostModel
 from repro.server.protocol import TaskResult
 from repro.server.telemetry import MetricsRegistry, RejectionStats
 

@@ -16,13 +16,9 @@ import pytest
 from repro.api import ElasticityPolicy, FleetBuilder, RuntimeSpec
 from repro.core.adasgd import AppliedLog, AppliedUpdate
 from repro.devices.device import DeviceFeatures
-from repro.gateway import (
-    AggregationCostModel,
-    Gateway,
-    GatewayConfig,
-    TokenBucket,
-)
-from repro.runtime import ServiceTimeEstimator
+from repro.durability import DurabilitySpec
+from repro.gateway import Gateway, GatewayConfig, TokenBucket
+from repro.runtime import AggregationCostModel, ServiceTimeEstimator
 from repro.server.protocol import TaskAssignment, TaskRequest, TaskResult
 
 
@@ -154,6 +150,7 @@ def test_sync_lane_never_sheds_and_has_no_queue_signal():
 
     sync = drive("sync")
     assert sync.max_backlog_s(0.0) == pytest.approx(60.0)
+    assert sync.runtime.backlog_s("shard-0", 0.0) == pytest.approx(60.0)
     assert sync.runtime.rejected_batches == 0
     assert sync.runtime.max_queue_depth(0.0) == 0
     assert sync.results_applied == sync.results_received() == 24
@@ -161,6 +158,41 @@ def test_sync_lane_never_sheds_and_has_no_queue_signal():
     asynchronous = drive("async")
     assert asynchronous.runtime.rejected_batches == 4
     assert asynchronous.results_applied == 8
+
+
+@pytest.mark.parametrize(
+    "runtime",
+    [RuntimeSpec(mode="sync"), RuntimeSpec(mode="async", executor="virtual")],
+    ids=["sync", "async-virtual"],
+)
+def test_every_delivered_batch_goes_through_a_runtime_lane(runtime, tmp_path):
+    gateway = Gateway.from_spec(
+        3,
+        _spec("fedavg"),
+        GatewayConfig(batch_size=4, batch_deadline_s=1e9, sync_every_s=1e9),
+        cost_model=AggregationCostModel(per_flush_s=0.5, per_result_s=0.01),
+        runtime=runtime,
+        durability=DurabilitySpec(root_dir=tmp_path / "dur", auto_failover=False),
+    )
+    runtime_batches = gateway.metrics.counter("runtime.batches")
+    gateway_batches = gateway.metrics.counter("gateway.batches")
+    rng = np.random.default_rng(4)
+    for i in range(30):
+        gateway.handle_result(_result(i, rng.normal(size=32)), now=0.1 * i)
+    victim, leaver = sorted(gateway.shards)[:2]
+    gateway.crash_shard(victim, now=4.0)
+    # Results for the crashed shard are parked, then redelivered at failover.
+    parked = [w for w in range(100, 160) if gateway.shard_for(w) == victim]
+    for worker in parked:
+        gateway.handle_result(_result(worker, rng.normal(size=32)), now=5.0)
+    gateway.failover(victim, now=6.0)
+    done = [e for e in gateway.journal.events if e.kind == "failover_done"]
+    assert done[0].redelivered_results >= len(parked) > 0
+    assert runtime_batches.value == gateway_batches.value
+
+    assert gateway.batcher.pending(leaver) > 0
+    gateway.remove_shard(leaver, now=7.0)
+    assert runtime_batches.value == gateway_batches.value
 
 
 def test_queue_depth_decays_with_virtual_time():

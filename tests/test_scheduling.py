@@ -530,7 +530,7 @@ class TestGatewayIntegration:
         assert any(w in router._observed for w in predicted)
 
     def test_shard_load_prefers_quiet_lanes(self):
-        from repro.gateway import AggregationCostModel
+        from repro.runtime import AggregationCostModel
 
         gateway = Gateway.from_factory(
             2,
@@ -550,7 +550,7 @@ class TestGatewayIntegration:
             gateway.shard_load("nope")
 
     def test_shard_load_counts_a_batch_once(self):
-        from repro.gateway import AggregationCostModel
+        from repro.runtime import AggregationCostModel
 
         gateway = Gateway.from_factory(
             2,

@@ -19,9 +19,10 @@ from repro.api import ElasticityPolicy, FleetBuilder, RuntimeSpec
 from repro.core import make_fedavg
 from repro.devices.device import DeviceFeatures
 from repro.durability import DurabilitySpec
-from repro.gateway import AggregationCostModel, Gateway, GatewayConfig
+from repro.gateway import Gateway, GatewayConfig
 from repro.observability import EventJournal, SLOEngine, SLOSpec, SLOTracker
 from repro.profiler import IProf, SLO
+from repro.runtime import AggregationCostModel
 from repro.server import FleetServer
 from repro.server.protocol import TaskResult
 
