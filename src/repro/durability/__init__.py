@@ -6,8 +6,8 @@ are logged write-ahead (:class:`WriteAheadLog`), state is snapshotted
 periodically (:class:`CheckpointStore`), and recovery is deterministic
 replay (:func:`restore_shard`) — bit-exact against the scalar oracle, so
 it is property-testable.  The gateway drives failover end to end via
-:class:`DurabilityManager` and :class:`FailureDetector`; configuration
-rides :class:`DurabilitySpec` on the builder
+:class:`DurabilityManager`, which owns the :class:`FailureDetector`;
+configuration rides :class:`DurabilitySpec` on the builder
 (``FleetBuilder.durability(...)``).
 """
 

@@ -1,14 +1,18 @@
 """Heartbeat failure detector over shard-lane liveness.
 
-The gateway beats every live shard as its pump touches it (delivering a
-batch, flushing a due lane, ticking the heartbeat) — a beat is a liveness
-probe, so an *idle but healthy* shard keeps beating while a crashed one
-goes silent.  After ``timeout_s`` of silence the detector declares the
-shard dead; the gateway then drives ``failover`` (or leaves it to an
-explicit operator call when ``auto_failover`` is off).
+The :class:`~repro.durability.manager.DurabilityManager` owns the
+detector and keeps it in step with its lifecycle (attach registers,
+delivery beats, restore revives, retire deregisters).  The gateway's pump
+runs :meth:`FailureDetector.probe`, which beats every live shard — a beat
+is a liveness probe, so an *idle but healthy* shard keeps beating while a
+crashed one goes silent.  After ``timeout_s`` of silence the detector
+declares the shard dead; the gateway then drives ``failover`` (or leaves
+it to an explicit operator call when ``auto_failover`` is off).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 __all__ = ["FailureDetector"]
 
@@ -22,6 +26,12 @@ class FailureDetector:
         self.timeout_s = timeout_s
         self._last_beat: dict[str, float] = {}
         self._dead: dict[str, float] = {}
+        # Tier-wide probes are quantized to a small fraction of the
+        # timeout: probing on every pump would tax the hot path for no
+        # extra detection fidelity (silence is only meaningful on the
+        # timeout's scale, not per upload).
+        self.probe_interval_s = timeout_s / 64.0
+        self._next_probe_s = float("-inf")
 
     def register(self, shard_id: str, now: float = 0.0) -> None:
         """Start watching a shard (its registration counts as a beat)."""
@@ -39,11 +49,6 @@ class FailureDetector:
             return
         if shard_id in self._last_beat:
             self._last_beat[shard_id] = max(self._last_beat[shard_id], now)
-
-    def mark_dead(self, shard_id: str, now: float) -> None:
-        """Declare a shard dead immediately (crash observed directly)."""
-        if shard_id in self._last_beat:
-            self._dead[shard_id] = now
 
     def revive(self, shard_id: str, now: float) -> None:
         """Bring a shard back after failover restored it."""
@@ -70,6 +75,17 @@ class FailureDetector:
                 self._dead[shard_id] = now
                 newly_dead.append(shard_id)
         return newly_dead
+
+    def probe(self, now: float, live: Iterable[str]) -> list[str] | None:
+        """Beat every ``live`` shard, THEN judge silence (:meth:`suspects`),
+        so only shards that genuinely stopped can be suspected.  None
+        while the next probe is not due."""
+        if now < self._next_probe_s:
+            return None
+        self._next_probe_s = now + self.probe_interval_s
+        for shard_id in live:
+            self.beat(shard_id, now)
+        return self.suspects(now)
 
     def dead(self) -> list[str]:
         """Every shard currently considered dead, in detection order."""

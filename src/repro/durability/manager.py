@@ -2,20 +2,25 @@
 
 ``DurabilityManager`` owns one :class:`ShardDurability` bundle (WAL +
 checkpoint store) per attached shard, all rooted under
-``spec.root_dir/<shard_id>/``.  The gateway drives it:
+``spec.root_dir/<shard_id>/``, and the tier's heartbeat
+:class:`~repro.durability.detector.FailureDetector` (built from
+``spec.detector_timeout_s``), which each lifecycle call keeps in step.
+The gateway drives it:
 
 * ``attach`` when a shard joins (construction, ``add_shard``, scale-up) —
   writes an immediate anchor checkpoint so any pre-attach state (e.g. the
   parameter blend a joining shard inherits) is covered without a single
-  WAL record;
-* ``maybe_checkpoint`` after every delivery — snapshots every
-  ``checkpoint_every_updates`` model updates;
+  WAL record, and registers the shard with the detector;
+* ``on_delivery`` after every delivery (a gateway delivery observer) —
+  ``maybe_checkpoint`` snapshots every ``checkpoint_every_updates`` model
+  updates, and the delivery beats the detector;
 * ``retire`` on planned removal (``remove_shard``/``scale_down``) — WAL
   fsync + final checkpoint, so planned removal and crash recovery share
-  one durable format;
+  one durable format; the detector stops watching the shard;
 * ``restore`` on failover — checkpoint + WAL-tail replay onto a fresh
   factory-built server, then reattaches the same WAL directory so
-  post-recovery history extends the old one.
+  post-recovery history extends the old one and revives the shard in
+  the detector.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.durability.checkpoint import CheckpointStore, snapshot_state
+from repro.durability.detector import FailureDetector
 from repro.durability.restore import RestoreReport, restore_shard
 from repro.durability.spec import DurabilitySpec
 from repro.durability.wal import WriteAheadLog
@@ -52,6 +58,7 @@ class DurabilityManager:
         self.spec = spec
         self.root = Path(spec.root_dir)
         self._shards: dict[str, ShardDurability] = {}
+        self.detector = FailureDetector(spec.detector_timeout_s)
         self.checkpoints_written = 0
         self.restores = 0
         # Cadence checkpoints persist off the delivery path: the snapshot
@@ -172,6 +179,7 @@ class DurabilityManager:
         server.optimizer.wal = wal
         store.save(server, wal_seq=wal.next_seq, now=now)
         self.checkpoints_written += 1
+        self.detector.register(shard_id, now)
         return bundle
 
     def maybe_checkpoint(self, shard_id: str, server, now: float = 0.0) -> bool:
@@ -194,6 +202,17 @@ class DurabilityManager:
         self.checkpoints_written += 1
         return True
 
+    # hot-path
+    def on_delivery(
+        self, shard_id: str, shard, entries: list, batch: list, pre_clock: int,
+        now: float, start: float, end: float,
+    ) -> None:
+        """Delivery observer: cadence checkpoint (the caller holds the
+        shard guard, so the snapshot sees a quiescent shard) and a beat —
+        a delivery is proof of life."""
+        self.maybe_checkpoint(shard_id, shard, now=now)
+        self.detector.beat(shard_id, now)
+
     def checkpoint(self, shard_id: str, server, now: float = 0.0) -> None:
         """Write a snapshot unconditionally, synchronously."""
         self.flush_saves()
@@ -206,8 +225,10 @@ class DurabilityManager:
         """Planned removal: flush the WAL, final checkpoint, detach.
 
         Leaves the durable directory intact — a retired shard's history
-        can be inspected or restored exactly like a crashed one's.
+        can be inspected or restored exactly like a crashed one's.  Not a
+        failure: the detector just stops watching.
         """
+        self.detector.deregister(shard_id)
         bundle = self._shards.get(shard_id)
         if bundle is None:
             return
@@ -238,7 +259,8 @@ class DurabilityManager:
         ``server`` must be factory-fresh with no WAL attached; after the
         replay the same WAL directory is reopened (appends resume at the
         next sequence) and a post-restore checkpoint bounds the next
-        recovery's replay tail.
+        recovery's replay tail.  The detector counts the restore as the
+        shard's first beat back.
         """
         if shard_id in self._shards:
             raise ValueError(f"shard {shard_id!r} still attached; detach first")
@@ -258,6 +280,7 @@ class DurabilityManager:
         store.save(server, wal_seq=wal.next_seq, now=now)
         self.checkpoints_written += 1
         self.restores += 1
+        self.detector.revive(shard_id, now)
         return report
 
     def sync_all(self) -> None:

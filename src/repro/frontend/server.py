@@ -497,22 +497,19 @@ class DeviceFrontend:
             "drain_s": self.now() - started,
         }
         self._drain_stats = stats
-        journal = getattr(self.gateway, "journal", None)
-        if journal is not None:
-            journal.frontend_drain(
-                time=self.now(),
-                connections_closed=int(stats["connections_closed"]),
-                results_received=received,
-                results_applied=applied,
-                drain_s=stats["drain_s"],
-            )
+        self.gateway.journal.frontend_drain(
+            time=self.now(),
+            connections_closed=int(stats["connections_closed"]),
+            results_received=received,
+            results_applied=applied,
+            drain_s=stats["drain_s"],
+        )
         return stats
 
     def _journal_connection(self, conn: _Connection) -> None:
-        journal = getattr(self.gateway, "journal", None)
-        if journal is None or conn.hello is None:
+        if conn.hello is None:
             return
-        journal.frontend_connection(
+        self.gateway.journal.frontend_connection(
             time=self.now(),
             session_id=conn.session_id,
             worker_id=conn.hello.worker_id,

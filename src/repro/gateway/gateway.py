@@ -39,6 +39,12 @@ cannot tell the difference — but behind it:
   (:mod:`repro.durability`; pass a
   :class:`~repro.durability.spec.DurabilitySpec`).
 
+The optional subsystems — SLO engine, autoscaler, durability, upload
+tracing — attach through one seam: *delivery observers* run after every
+applied micro-batch, *pump observers* after every pump's flushes and
+sync, each owning its state and cadence.  A plain gateway runs two
+empty observer loops.
+
 All timing is virtual: callers pass ``now`` from their event loop (the
 fleet simulation passes ``loop.now``); deadline flushes and syncs fire
 lazily on the next call whose ``now`` has passed the trigger, which on a
@@ -53,11 +59,11 @@ import dataclasses
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.durability import DurabilityManager, DurabilitySpec, FailureDetector
+from repro.durability import DurabilityManager, DurabilitySpec
 from repro.durability.restore import RestoreReport
 from repro.gateway.backpressure import TokenBucket
 from repro.gateway.batching import MicroBatcher, encode_result
@@ -80,7 +86,18 @@ from repro.server.server import FleetServer
 from repro.server.stages import RequestStage, ResultStage
 from repro.server.telemetry import MetricsRegistry
 
-__all__ = ["GatewayConfig", "Gateway"]
+__all__ = ["GatewayConfig", "Gateway", "CrashRecord"]
+
+#: ``(shard_id, shard, entries, batch, pre_clock, now, start, end)``, run
+#: after ``shard.handle_result_batch(batch)`` on the delivering thread:
+#: the encoded entries and their decoded results (the apply never mutates
+#: them), the shard clock before the apply, the flush instant, and the
+#: lane service window the runtime charged.
+DeliveryObserver = Callable[
+    [str, FleetServer, list, list[TaskResult], int, float, float, float], None
+]
+#: Run with ``now`` after every pump's flushes and sync.
+PumpObserver = Callable[[float], None]
 
 
 @dataclass(frozen=True)
@@ -115,20 +132,20 @@ class GatewayConfig:
             raise ValueError("admission_rate_per_s must be positive")
 
 
-def _slo_latency_buckets(bound: float) -> tuple[float, ...]:
-    """Latency histogram grid anchored on the SLO bound.
+@dataclass
+class CrashRecord:
+    """The crash ledger's entry for one shard down and awaiting failover.
 
-    The bound itself is a bucket edge, so the engine's good-event count
-    (``Histogram.count_le``) is exact rather than interpolated.
+    ``clock``/``results_applied`` are the gateway-observed counters at the
+    crash, so the tier-wide monotone counters don't dip while it is down;
+    ``parked`` holds the encoded results accepted for it during the outage
+    (acked uploads are never lost — they redeliver at failover).
     """
-    factors = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0, 16.0)
-    return tuple(sorted({bound * f for f in factors}))
 
-
-def _slo_staleness_buckets(bound: float) -> tuple[float, ...]:
-    """Staleness histogram grid: exact zero bucket plus bound-anchored edges."""
-    grid = {0.0} | {bound * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0)}
-    return tuple(sorted(grid))
+    crashed_at: float
+    clock: int
+    results_applied: int
+    parked: list = field(default_factory=list)
 
 
 class Gateway:
@@ -159,11 +176,8 @@ class Gateway:
         # cheap — decisions are rare next to uploads); per-upload tracing
         # is opt-in through the spec.  Built before the router binds so
         # routing decisions can journal from the first request.
-        self.observability = observability
         self.journal = EventJournal(
-            capacity=observability.journal_capacity
-            if observability is not None
-            else 8192
+            capacity=observability.journal_capacity if observability is not None else 8192
         )
         self.metrics = MetricsRegistry()
         # Serving runtime: the one delivery path.  Without a spec, lanes
@@ -173,18 +187,13 @@ class Gateway:
         if runtime is None:
             runtime = RuntimeSpec(mode="sync")
         self.runtime = ShardRuntime(
-            runtime,
-            metrics=self.metrics,
-            cost_model=self.cost_model,
-            journal=self.journal,
+            runtime, metrics=self.metrics, cost_model=self.cost_model, journal=self.journal
         )
         for shard_id in self._shards:
             self.runtime.add_lane(shard_id)
         self._threaded = self.runtime.threaded
         self.tracer = (
-            UploadTracer(
-                observability, clock="wall" if self._threaded else "virtual"
-            )
+            UploadTracer(observability, clock="wall" if self._threaded else "virtual")
             if observability is not None
             else None
         )
@@ -204,57 +213,34 @@ class Gateway:
 
         # Level 0: the in-process hop holds the uplink's stored-block form.
         # Nothing keeps these bytes long enough for a deflate to pay back.
-        self.codec = VectorCodec(
-            precision=self.config.codec_precision, compression_level=0
-        )
+        self.codec = VectorCodec(precision=self.config.codec_precision, compression_level=0)
         self.batcher = MicroBatcher(
-            self.codec,
-            max_batch=self.config.batch_size,
-            max_delay_s=self.config.batch_deadline_s,
+            self.codec, max_batch=self.config.batch_size, max_delay_s=self.config.batch_deadline_s
         )
         self.synchronizer = ShardSynchronizer(interval_s=self.config.sync_every_s)
         self.bucket = (
-            TokenBucket(
-                self.config.admission_rate_per_s,
-                capacity=self.config.admission_burst,
-            )
+            TokenBucket(self.config.admission_rate_per_s, capacity=self.config.admission_burst)
             if self.config.admission_rate_per_s is not None
             else None
         )
 
-        self._requests = self.metrics.counter(
-            "gateway.requests", "requests reaching the gateway"
+        metrics = self.metrics
+        self._requests = metrics.counter("gateway.requests", "requests reaching the gateway")
+        self._shed = metrics.counter("gateway.requests_shed", "requests dropped by backpressure")
+        self._assigned = metrics.counter("gateway.assignments", "requests that received a task")
+        self._unavailable = metrics.counter(
+            "gateway.requests_unavailable", "requests refused because their shard was crashed"
         )
-        self._shed = self.metrics.counter(
-            "gateway.requests_shed", "requests dropped by backpressure"
-        )
-        self._assigned = self.metrics.counter(
-            "gateway.assignments", "requests that received a task"
-        )
-        self._unavailable = self.metrics.counter(
-            "gateway.requests_unavailable",
-            "requests refused because their shard was crashed",
-        )
-        self._results = self.metrics.counter(
-            "gateway.results", "gradient results accepted"
-        )
-        self._batches = self.metrics.counter(
-            "gateway.batches", "micro-batches delivered to shards"
-        )
-        self._syncs = self.metrics.counter(
-            "gateway.syncs", "cross-shard synchronization rounds"
-        )
-        self._batch_sizes = self.metrics.summary(
-            "gateway.batch_size", "delivered micro-batch sizes"
-        )
-        self._divergence = self.metrics.summary(
+        self._results = metrics.counter("gateway.results", "gradient results accepted")
+        self._batches = metrics.counter("gateway.batches", "micro-batches delivered to shards")
+        self._syncs = metrics.counter("gateway.syncs", "cross-shard synchronization rounds")
+        self._batch_sizes = metrics.summary("gateway.batch_size", "delivered micro-batch sizes")
+        self._divergence = metrics.summary(
             "gateway.sync_divergence", "max L2 shard drift at sync time"
         )
         # Tier-wide per-reason rejection breakdown, read live at report
         # time (shard controller reasons merged with backpressure sheds).
-        self.metrics.attach_rejections(
-            "gateway.rejections", self.rejection_counts
-        )
+        self.metrics.attach_rejections("gateway.rejections", self.rejection_counts)
 
         # Model updates and applied-result counts of shards retired by
         # remove_shard stay in the tier-wide accounting (the runtime keeps
@@ -294,67 +280,47 @@ class Gateway:
                 )
             self.autoscaler = ElasticityController(runtime.autoscale, self)
 
-        # Durability: per-shard WAL + checkpoints, a heartbeat failure
-        # detector, and crash-window bookkeeping.  ``_crashed`` maps a
-        # dead shard id to its crash time; ``_crash_pending`` retains the
-        # encoded results the gateway accepted for it during the outage
-        # (acked uploads are never lost — they redeliver at failover);
-        # ``_crashed_counters`` carries the gateway-observed (clock,
-        # results_applied) of the dead shard so the tier-wide monotone
-        # counters don't dip while it is down.
+        # Durability: per-shard WAL + checkpoints and the heartbeat
+        # failure detector live in the manager; the gateway keeps the
+        # crash ledger, one record per shard down and awaiting failover.
         self.durability: DurabilityManager | None = None
-        self.detector: FailureDetector | None = None
-        self._crashed: dict[str, float] = {}
-        self._crash_pending: dict[str, list] = {}
-        self._crashed_counters: dict[str, tuple[int, int]] = {}
+        self._crashed: dict[str, CrashRecord] = {}
         self._recovery_hist = None
-        self._next_probe_s = float("-inf")
         if durability is not None:
             self.durability = DurabilityManager(durability)
-            self.detector = FailureDetector(durability.detector_timeout_s)
-            # Tier-wide liveness probes are quantized to a small fraction
-            # of the timeout: running them on every pump would tax the
-            # hot path for no extra detection fidelity (silence is only
-            # meaningful on the timeout's scale, not per upload).
-            self._probe_interval_s = durability.detector_timeout_s / 64.0
             self._recovery_hist = self.metrics.histogram(
                 "gateway.failover_recovery_s",
                 "virtual seconds from shard crash to restored shard",
                 buckets=(0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, 600.0),
             )
             if durability.journal_path is not None:
-                self.journal.stream_to(
-                    durability.journal_path, fsync=durability.fsync
-                )
+                self.journal.stream_to(durability.journal_path, fsync=durability.fsync)
             for shard_id, shard in self._shards.items():
                 self.durability.attach(shard_id, shard, now=self._now)
-                self.detector.register(shard_id, self._now)
 
-        # Service-level objectives: per-delivery SLI histograms (bucket
-        # edges anchored on the spec's bounds so good-event counts are
-        # exact) plus a burn-rate engine evaluated on the pump's
-        # quantized cadence — same determinism recipe as the detector
-        # probes above.  ``slo`` of None keeps the delivery path free of
-        # the extra histogram observations.
-        self.slo_spec = slo
+        # Service-level objectives: the engine registers its own SLI
+        # histograms and evaluates on its own quantized cadence.
         self.slo_engine: SLOEngine | None = None
-        self.upload_latency_hist = None
-        self.staleness_hist = None
-        self._next_slo_s = float("-inf")
         if slo is not None:
-            self.upload_latency_hist = self.metrics.histogram(
-                "gateway.upload_latency_s",
-                "end-to-end admission-to-apply latency of delivered uploads",
-                buckets=_slo_latency_buckets(slo.latency_bound_s),
-            )
-            self.staleness_hist = self.metrics.histogram(
-                "gateway.applied_staleness",
-                "staleness of applied gradients at delivery time",
-                buckets=_slo_staleness_buckets(slo.staleness_bound),
-            )
-            self.slo_engine = SLOEngine.from_gateway(
-                slo, self, journal=self.journal
-            )
+            self.slo_engine = SLOEngine.from_gateway(slo, self, journal=self.journal)
+
+        # The seam (docs/architecture.md §5): optional subsystems attach
+        # here, listed in run order.  The pump order (SLO, autoscaler,
+        # liveness probe) fixes the journal's event order; it differs
+        # from the construction order above, which fixes metric
+        # registration order.
+        self._delivery_observers: list[DeliveryObserver] = []
+        self._pump_observers: list[PumpObserver] = []
+        if slo is not None:
+            self._delivery_observers.append(self.slo_engine.on_delivery)
+            self._pump_observers.append(self.slo_engine.on_pump)
+        if runtime.autoscale is not None:
+            self._pump_observers.append(self.autoscaler.observe)
+        if durability is not None:
+            self._delivery_observers.append(self.durability.on_delivery)
+            self._pump_observers.append(self._probe_liveness)
+        if observability is not None:
+            self._delivery_observers.append(self.tracer.on_delivery)
 
     # ------------------------------------------------------------------
     # Factory
@@ -491,24 +457,24 @@ class Gateway:
             self.router.observe_latency(result.worker_id, now - issued_at, now)
 
         shard_id = self._inflight.pop(result.worker_id, None)
-        if shard_id in self._crashed:
-            # The owning shard is down: the result is ACCEPTED (counted
-            # above) and parked in wire form; failover redelivers it to
-            # the restored shard, so an acked upload is never lost.
-            self._stash_crashed(shard_id, result, now)
-            return self._pump(now)
-        if shard_id is None or shard_id not in self._shards:
+        if shard_id not in self._crashed and shard_id not in self._shards:
             # Rerouted result (shard removed, or lease predates the gateway):
             # the new owner's clock may be behind the issuing shard's, so
             # clamp the lease to keep staleness non-negative.
             shard_id = self.shard_for(result.worker_id)
-            if shard_id in self._crashed:
-                self._stash_crashed(shard_id, result, now)
-                return self._pump(now)
-            with self._shard_guard(shard_id):
-                clock = self._shards[shard_id].clock
-            if result.pull_step > clock:
-                result = dataclasses.replace(result, pull_step=clock)
+            if shard_id in self._shards:
+                with self._shard_guard(shard_id):
+                    clock = self._shards[shard_id].clock
+                if result.pull_step > clock:
+                    result = dataclasses.replace(result, pull_step=clock)
+        if shard_id in self._crashed:
+            # The owning shard is down: the result is ACCEPTED (counted
+            # above) and parked in wire form — encoded like any batch
+            # entry, so failover redelivers it exactly like a flush and an
+            # acked upload is never lost.
+            parked = self._crashed[shard_id].parked
+            parked.append(encode_result(result, self.codec, admitted_at=now))
+            return self._pump(now)
 
         if self.tracer is not None:
             ctx = self.tracer.begin(result.worker_id, now)
@@ -536,6 +502,7 @@ class Gateway:
             if entry.metadata.trace is not None:
                 entry.metadata.trace.stamp(name, at)
 
+    # hot-path
     def _dispatch(
         self, shard_id: str, entries: list, now: float, inline: bool = False
     ) -> bool:
@@ -570,115 +537,58 @@ class Gateway:
             return False
         return ticket.done() and bool(ticket.result())
 
-    def _stash_crashed(self, shard_id: str, result: TaskResult, now: float) -> None:
-        """Park an accepted result for a crashed shard, in wire form.
-
-        Encoding through the codec keeps the parked copy identical to
-        what any delivered result goes through — redelivery after
-        failover decodes it exactly like a normal micro-batch flush.
-        """
-        self._crash_pending.setdefault(shard_id, []).append(
-            encode_result(result, self.codec, admitted_at=now)
-        )
-
+    # hot-path
     def _deliver(
         self, shard_id: str, entries: list, batch: list[TaskResult], now: float,
         start: float, end: float,
     ) -> bool:
-        """Apply a decoded batch; ``(start, end)`` is the lane service
-        window the runtime charged it."""
+        """Apply a decoded batch, then run the delivery observers.
+
+        ``(start, end)`` is the lane service window the runtime charged
+        it; observers also get the shard clock read before the apply.
+        """
         shard = self._shards[shard_id]
-        if self.staleness_hist is not None:
-            # Staleness at apply time — the shard's clock is about to
-            # advance past every lease in the batch.  Clamped at zero
-            # for leases clamped forward by rerouting.
-            pre_clock = shard.clock
-            stale = np.fromiter(
-                (pre_clock - result.pull_step for result in batch),
-                dtype=np.float64,
-                count=len(batch),
-            )
-            np.maximum(stale, 0.0, out=stale)
-            self.staleness_hist.observe_many(stale)
+        pre_clock = shard.clock
         updated = shard.handle_result_batch(batch)
-        if self.durability is not None:
-            # Cadence checkpoint on the delivery path: callers already
-            # hold the shard guard in threads mode, so the snapshot sees
-            # a quiescent shard.  A delivery is also proof of life.
-            self.durability.maybe_checkpoint(shard_id, shard, now=now)
-            self.detector.beat(shard_id, now)
         self._batches.increment()
         self._batch_sizes.observe(len(batch))
-        if self.upload_latency_hist is not None:
-            # End-to-end upload latency: gateway admission (the encoded
-            # entry's stamp) to lane completion, one vectorized observe
-            # per batch.  Results redelivered after a failover keep
-            # their crash-era admission stamp — they DID wait that long.
-            admitted = [entry.admitted_at for entry in entries]
-            self.upload_latency_hist.observe_many(
-                end - np.asarray(admitted, dtype=np.float64)
-            )
-        if self.tracer is not None:
-            # Finish every traced upload in the batch — including those a
-            # stage absorbed: their critical path still ended here.
-            for result in batch:
-                if result.trace is not None:
-                    self.tracer.finish(
-                        result.trace,
-                        shard_id=shard_id,
-                        batch_size=len(batch),
-                        flushed=now,
-                        lane_start=start,
-                        lane_end=end,
-                    )
+        for observer in self._delivery_observers:
+            observer(shard_id, shard, entries, batch, pre_clock, now, start, end)
         return updated
 
+    # hot-path
     def _pump(self, now: float, watch: str | None = None) -> bool:
-        """Fire any deadline flushes and the periodic sync that are due.
+        """Fire any deadline flushes and the periodic sync that are due,
+        then run the pump observers.
 
         Returns True when a flush of ``watch``'s lane applied a model
         update (callers tracking a specific result's fate pass its shard).
         """
         watched_updated = False
         for shard_id in self.batcher.due(now):
-            updated = self._dispatch(
-                shard_id, self.batcher.flush_encoded(shard_id), now
-            )
+            updated = self._dispatch(shard_id, self.batcher.flush_encoded(shard_id), now)
             if shard_id == watch:
                 watched_updated = updated
         if len(self._shards) > 1 and self.synchronizer.due(now):
             self.synchronize(now)
-        if self.slo_engine is not None and now >= self._next_slo_s:
-            # Quantized like the detector probes below: evaluating on
-            # every pump would tax the hot path without adding fidelity
-            # on the burn windows' timescale, and the fixed cadence is
-            # what makes same-seed virtual-clock runs alert-identical.
-            self._next_slo_s = now + self.slo_spec.evaluate_every_s
-            self.slo_engine.evaluate(now)
-        if self.autoscaler is not None:
-            self.autoscaler.observe(now)
-        if self.detector is not None and now >= self._next_probe_s:
-            self._next_probe_s = now + self._probe_interval_s
-            # Every live shard beats as the pump touches the tier (the
-            # beat is the probe: an idle-but-healthy shard never trips
-            # the timeout), THEN silence is judged — so only shards that
-            # genuinely stopped being live can be suspected.
-            for shard_id in self._shards:
-                self.detector.beat(shard_id, now)
-            for shard_id in self.detector.suspects(now):
-                clock, _ = self._crashed_counters.get(shard_id, (0, 0))
-                self.journal.shard_crash(
-                    now, shard_id, clock=clock, detected_by="detector"
-                )
-            if (
-                self.durability is not None
-                and self.durability.spec.auto_failover
-                and self._shard_factory is not None
-            ):
-                for shard_id in self.detector.dead():
-                    if shard_id in self._crashed:
-                        self.failover(shard_id, now)
+        for observer in self._pump_observers:
+            observer(now)
         return watched_updated
+
+    def _probe_liveness(self, now: float) -> None:
+        """Durability's pump observer: journal the failure detector's new
+        verdicts and, with ``auto_failover``, fail dead shards over."""
+        detector = self.durability.detector
+        suspects = detector.probe(now, self._shards)
+        if suspects is None:
+            return  # between probes
+        for shard_id in suspects:
+            clock = self._crashed[shard_id].clock
+            self.journal.shard_crash(now, shard_id, clock=clock, detected_by="detector")
+        if self.durability.spec.auto_failover and self._shard_factory is not None:
+            for shard_id in detector.dead():
+                if shard_id in self._crashed:
+                    self.failover(shard_id, now)
 
     # ------------------------------------------------------------------
     # Synchronization and membership
@@ -695,9 +605,7 @@ class Gateway:
         record = self.synchronizer.synchronize(self._shards, now)
         self._syncs.increment()
         self._divergence.observe(record.max_divergence)
-        self.journal.sync_round(
-            now, record.max_divergence, len(self._shards), record.weights
-        )
+        self.journal.sync_round(now, record.max_divergence, len(self._shards), record.weights)
 
     def flush_all(self, now: float | None = None) -> int:
         """Force-deliver every pending micro-batch; returns results flushed.
@@ -756,7 +664,6 @@ class Gateway:
             # The anchor checkpoint covers the blend the joiner just
             # inherited — recovery never depends on the factory alone.
             self.durability.attach(shard_id, shard, now=now)
-            self.detector.register(shard_id, now)
         self.synchronizer.note_membership_change(self._shards)
         return shard_id
 
@@ -780,7 +687,6 @@ class Gateway:
             # fsync + final checkpoint, so a retired shard's history can
             # be inspected or restored exactly like a crashed one's.
             self.durability.retire(shard_id, self._shards[shard_id], now=now)
-            self.detector.deregister(shard_id)
         shard = self._shards.pop(shard_id)
         self.router.remove_shard(shard_id, now)
         self._retired_clock += shard.clock
@@ -788,9 +694,7 @@ class Gateway:
         self.runtime.drop_lane(shard_id)
         self._shard_locks.pop(shard_id, None)
         self._inflight = {
-            worker: owner
-            for worker, owner in self._inflight.items()
-            if owner != shard_id
+            worker: owner for worker, owner in self._inflight.items() if owner != shard_id
         }
         self.synchronizer.note_membership_change(self._shards)
         return shard
@@ -856,16 +760,11 @@ class Gateway:
             )
         self.runtime.drain()  # entrained lane jobs finish or die now
         server = self._shards.pop(shard_id)
-        self._crashed[shard_id] = now
-        self._crashed_counters[shard_id] = (server.clock, server.results_applied)
-        self.journal.shard_crash(
-            now, shard_id, clock=server.clock, detected_by="injection"
-        )
+        self.journal.shard_crash(now, shard_id, clock=server.clock, detected_by="injection")
         # Pending micro-batch entries live in the GATEWAY, not the shard:
         # they were acked on arrival, so they ride out the crash parked.
         pending = self.batcher.flush_encoded(shard_id)
-        if pending:
-            self._crash_pending.setdefault(shard_id, []).extend(pending)
+        self._crashed[shard_id] = CrashRecord(now, server.clock, server.results_applied, pending)
         self.batcher.drop(shard_id)
         self.durability.drop_attachment(shard_id)
         self.runtime.fail_lane(shard_id)
@@ -886,26 +785,21 @@ class Gateway:
             raise ValueError(f"shard {shard_id!r} is not crashed")
         if self._shard_factory is None:
             raise ValueError(
-                "failover needs a retained shard factory: build the "
-                "gateway via from_factory/from_spec (or pass "
-                "shard_factory=)"
+                "failover needs a retained shard factory: build the gateway "
+                "via from_factory/from_spec (or pass shard_factory=)"
             )
-        crashed_at = self._crashed[shard_id]
         self.journal.failover_start(now, shard_id, epoch=self.router.epoch)
         fresh = self._shard_factory(self._shards_built)
         self._shards_built += 1
         report = self.durability.restore(shard_id, fresh, now=now)
         self._shards[shard_id] = fresh
-        self._crashed.pop(shard_id)
-        self._crashed_counters.pop(shard_id, None)
+        crash = self._crashed.pop(shard_id)
         self._shard_locks.setdefault(shard_id, threading.Lock())
         self.runtime.add_lane(shard_id)
-        self.detector.revive(shard_id, now)
         self.router.on_failover(shard_id, now)
-        parked = self._crash_pending.pop(shard_id, [])
         # Inline: a restored shard cannot be queue-shed.
-        self._dispatch(shard_id, parked, now, inline=True)
-        recovery_s = now - crashed_at
+        self._dispatch(shard_id, crash.parked, now, inline=True)
+        recovery_s = now - crash.crashed_at
         self._recovery_hist.observe(recovery_s)
         self.journal.failover_done(
             now,
@@ -916,7 +810,7 @@ class Gateway:
             replayed_records=report.replayed_records,
             replayed_results=report.replayed_results,
             restored_clock=report.final_clock,
-            redelivered_results=len(parked),
+            redelivered_results=len(crash.parked),
         )
         return report
 
@@ -974,6 +868,11 @@ class Gateway:
         return tuple(sorted(self._crashed))
 
     @property
+    def crashes(self) -> dict[str, CrashRecord]:
+        """The crash ledger: one record per shard awaiting failover."""
+        return dict(self._crashed)
+
+    @property
     def has_shard_factory(self) -> bool:
         """Whether crashed shards can be rebuilt (factory retained)."""
         return self._shard_factory is not None
@@ -1020,7 +919,7 @@ class Gateway:
         return (
             sum(shard.clock for shard in self._shards.values())
             + self._retired_clock
-            + sum(clock for clock, _ in self._crashed_counters.values())
+            + sum(crash.clock for crash in self._crashed.values())
         )
 
     @property
@@ -1028,7 +927,7 @@ class Gateway:
         return (
             sum(shard.results_applied for shard in self._shards.values())
             + self._retired_results_applied
-            + sum(applied for _, applied in self._crashed_counters.values())
+            + sum(crash.results_applied for crash in self._crashed.values())
         )
 
     def applied_staleness(self) -> np.ndarray:

@@ -7,7 +7,8 @@ follow a classic forward/backward contract:
 * ``forward(x, train)`` caches whatever the backward pass needs and returns
   the layer output;
 * ``backward(grad_out)`` returns the gradient w.r.t. the layer input and
-  stores parameter gradients in ``self.grads`` (same keys as ``self.params``).
+  stores parameter gradients in ``self.grads`` (same keys as ``self.params``);
+  ``backward_params`` stores them only (a model's first layer).
 
 Convolution uses im2col so that the inner loop is a single GEMM, which keeps
 the CNNs in Table 1 of the paper trainable on a laptop-scale simulator.
@@ -53,6 +54,11 @@ class Layer:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Accumulate ``self.grads`` only: the backward pass of a model's
+        first layer, whose input gradient nobody reads."""
+        self.backward(grad_out)
 
     def zero_grad(self) -> None:
         for key in self.grads:
@@ -123,7 +129,19 @@ def col2im(
     """Inverse of :func:`im2col`: scatter-add patches back into an image."""
     n, c, h, w = x_shape
     x_padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    if stride == kh == kw:
+        # Windows tile without overlap: every pixel takes at most one
+        # patch value, so one add does what the loop below would.
+        tiles = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 4, 2, 5)
+        x_padded[:, :, : kh * out_h, : kw * out_w] += tiles.reshape(
+            n, c, kh * out_h, kw * out_w
+        )
+        return x_padded[:, :, pad:-pad, pad:-pad] if pad > 0 else x_padded
+    # One gather into (n, c, kh, kw, out_h, out_w) order, so each
+    # scatter-add below reads a contiguous block.
+    cols = np.ascontiguousarray(
+        cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    )
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
@@ -171,16 +189,24 @@ class Conv2D(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._cache is not None, "forward must run before backward"
-        x_shape, cols, out_h, out_w = self._cache
+        w_mat = self.params["W"].reshape(self.out_channels, -1)
+        grad_cols = self._accumulate(grad_out) @ w_mat
+        x_shape, _, out_h, out_w = self._cache
         k = self.kernel_size
+        return col2im(grad_cols, x_shape, k, k, self.stride, self.pad, out_h, out_w)
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        self._accumulate(grad_out)
+
+    def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
+        """Add the ``W``/``b`` gradients; returns ``grad_out`` as a matrix."""
+        assert self._cache is not None, "forward must run before backward"
+        _, cols, out_h, out_w = self._cache
         n = grad_out.shape[0]
         grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
         self.grads["W"] += (grad_mat.T @ cols).reshape(self.params["W"].shape)
         self.grads["b"] += grad_mat.sum(axis=0)
-        grad_cols = grad_mat @ w_mat
-        return col2im(grad_cols, x_shape, k, k, self.stride, self.pad, out_h, out_w)
+        return grad_mat
 
 
 class _Pool2D(Layer):

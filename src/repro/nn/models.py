@@ -129,8 +129,10 @@ class Sequential:
         self.zero_grad()
         logits = self.forward(x, train=True)
         loss, grad = self.loss(logits, y)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
+        if self.layers:
+            self.layers[0].backward_params(grad)
         return loss, self.gradient_vector()
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

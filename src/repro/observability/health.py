@@ -36,9 +36,10 @@ WAL lag is computed in memory (``shard.clock`` minus the bundle's
 ``last_checkpoint_clock``) — a health poll never touches disk, so the
 snapshot is cheap enough to serve per request.
 
-This module reaches into gateway internals (``_crashed``,
-``_crash_pending``); it is the implementation of a Gateway method, split
-out so the observability package owns the document format.
+It is the implementation of a Gateway method, split out so the
+observability package owns the document format; it reads only the
+gateway's public surface (the crash ledger through ``Gateway.crashes``,
+the failure detector through ``gateway.durability``).
 """
 
 from __future__ import annotations
@@ -48,27 +49,29 @@ __all__ = ["build_health_snapshot"]
 
 def build_health_snapshot(gateway, now: float) -> dict:
     """Assemble the readiness document for one gateway (see module doc)."""
-    detector = gateway.detector
     runtime = gateway.runtime
     durability = gateway.durability
+    detector = durability.detector if durability is not None else None
     crashed = gateway.crashed_shards
+    crashes = gateway.crashes
     restore_possible = gateway.has_shard_factory
+
+    def detector_doc(shard_id: str) -> dict | None:
+        if detector is None:
+            return None
+        return {"silence_s": detector.silence_s(shard_id, now), "timeout_s": detector.timeout_s}
 
     shards: dict[str, dict] = {}
     degraded = False
     for shard_id in sorted(gateway.shards):
         shard = gateway.shards[shard_id]
         status = "ok"
-        detector_doc = None
-        if detector is not None:
-            silence = detector.silence_s(shard_id, now)
-            detector_doc = {
-                "silence_s": silence,
-                "timeout_s": detector.timeout_s,
-            }
-            if detector.is_dead(shard_id) or silence > detector.timeout_s:
-                status = "suspect"
-                degraded = True
+        liveness = detector_doc(shard_id)
+        if liveness is not None and (
+            detector.is_dead(shard_id) or liveness["silence_s"] > detector.timeout_s
+        ):
+            status = "suspect"
+            degraded = True
         wal_doc = None
         if durability is not None and durability.has(shard_id):
             bundle = durability.shard(shard_id)
@@ -91,27 +94,21 @@ def build_health_snapshot(gateway, now: float) -> dict:
             "pending_batch": gateway.batcher.pending(shard_id),
             "parked_results": 0,
             "restore_pending": False,
-            "detector": detector_doc,
+            "detector": liveness,
             "wal": wal_doc,
         }
 
     for shard_id in crashed:
         degraded = True
-        detector_doc = None
-        if detector is not None:
-            detector_doc = {
-                "silence_s": detector.silence_s(shard_id, now),
-                "timeout_s": detector.timeout_s,
-            }
         shards[shard_id] = {
             "status": "down",
             "clock": None,
             "queue_depth": 0,
             "lane_alive": False,
             "pending_batch": 0,
-            "parked_results": len(gateway._crash_pending.get(shard_id, [])),
+            "parked_results": len(crashes[shard_id].parked),
             "restore_pending": restore_possible,
-            "detector": detector_doc,
+            "detector": detector_doc(shard_id),
             "wal": None,
         }
 

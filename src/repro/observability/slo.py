@@ -15,8 +15,8 @@ gateway, elastic runtime, durable shards — objectives of its own:
   shard was live rather than crashed and awaiting failover.
 
 Each objective is tracked as a cumulative ``(good, total)`` event pair
-sourced from the gateway's existing metrics (histogram buckets, counters,
-failure-detector state) and evaluated by a **multi-window burn-rate
+sourced from the gateway's metrics (histogram buckets, counters,
+membership counts) and evaluated by a **multi-window burn-rate
 engine** in the style of the SRE workbook: the *burn rate* of a window is
 the window's bad-event fraction divided by the error budget
 (``1 - objective``), an alert fires only when BOTH the fast and the slow
@@ -24,6 +24,10 @@ window burn above the fire threshold (fast reacts, slow confirms), and it
 resolves once the fast window burns below the resolve threshold.  All
 timing comes from the caller's ``now``, so the engine is bit-identical
 run-to-run on the virtual clock and works unchanged on wall clock.
+
+:meth:`SLOEngine.from_gateway` owns the SLO side of a gateway: it
+registers the two SLI histograms, and the engine's delivery and pump
+observers fill them and evaluate on the spec's cadence.
 
 Alerts are typed :mod:`~repro.observability.alerts` records in the
 gateway's :class:`~repro.observability.journal.EventJournal`, and the
@@ -37,6 +41,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.observability.alerts import AlertManager
 
@@ -54,9 +60,9 @@ class SLOSpec:
     consuming its error budget at 4× the sustainable rate over BOTH
     windows; ``resolve_burn_rate = 1.0`` resolves once the fast window
     is back at or under budget.  ``evaluate_every_s`` quantizes
-    evaluation on the caller's clock exactly like the gateway's failure
-    detector probes, so same-seed virtual-clock runs evaluate at
-    identical instants.
+    evaluation on the caller's clock exactly like the failure detector's
+    probes, so same-seed virtual-clock runs evaluate at identical
+    instants.
     """
 
     latency_bound_s: float = 2.0
@@ -97,6 +103,22 @@ class SLOSpec:
             raise ValueError(
                 "evaluate_every_s must be in (0, fast_window_s]"
             )
+
+
+def _latency_buckets(bound: float) -> tuple[float, ...]:
+    """Latency histogram grid anchored on the SLO bound.
+
+    The bound itself is a bucket edge, so the engine's good-event count
+    (``Histogram.count_le``) is exact rather than interpolated.
+    """
+    factors = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0, 16.0)
+    return tuple(sorted({bound * f for f in factors}))
+
+
+def _staleness_buckets(bound: float) -> tuple[float, ...]:
+    """Staleness histogram grid: exact zero bucket plus bound-anchored edges."""
+    grid = {0.0} | {bound * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0)}
+    return tuple(sorted(grid))
 
 
 @dataclass(frozen=True)
@@ -213,11 +235,13 @@ class SLOTracker:
 class SLOEngine:
     """Evaluate every tracked objective and manage alert transitions.
 
-    The engine owns no clock: callers (the gateway's pump, a test, a
-    wall-clock service loop) invoke :meth:`evaluate` with their ``now``.
-    Evaluation order is the fixed tracker insertion order, so the
-    journaled fire/resolve sequence of a deterministic run is
-    bit-identical across repeats.
+    The engine owns no clock: callers (the gateway's pump through
+    :meth:`on_pump`, a test, a wall-clock service loop) invoke
+    :meth:`evaluate` with their ``now``.  Evaluation order is the fixed
+    tracker insertion order, so the journaled fire/resolve sequence of a
+    deterministic run is bit-identical across repeats.  ``latency_hist``
+    and ``staleness_hist`` are the per-delivery SLI histograms
+    :meth:`on_delivery` fills; only a gateway-bound engine has them.
     """
 
     def __init__(
@@ -225,6 +249,8 @@ class SLOEngine:
         spec: SLOSpec,
         trackers: list[SLOTracker],
         journal=None,
+        latency_hist=None,
+        staleness_hist=None,
     ) -> None:
         if not trackers:
             raise ValueError("an SLO engine needs at least one tracker")
@@ -238,6 +264,9 @@ class SLOEngine:
         self.alerts = AlertManager(spec, journal=journal)
         self.evaluations = 0
         self._last: dict[str, SLOStatus] = {}
+        self.latency_hist = latency_hist
+        self.staleness_hist = staleness_hist
+        self._next_evaluation_s = float("-inf")
 
     # ------------------------------------------------------------------
     # Gateway wiring
@@ -246,12 +275,21 @@ class SLOEngine:
     def from_gateway(cls, spec: SLOSpec, gateway, journal=None) -> "SLOEngine":
         """Build the four serving-tier objectives over a gateway's SLIs.
 
-        Sources read only cumulative state — histogram buckets, monotone
-        counters, membership counts — so an evaluation never rescans
-        per-event storage.
+        Registers the two per-delivery SLI histograms on the gateway's
+        registry.  Sources read only cumulative state — histogram
+        buckets, monotone counters, membership counts — so an evaluation
+        never rescans per-event storage.
         """
-        latency_hist = gateway.upload_latency_hist
-        staleness_hist = gateway.staleness_hist
+        latency_hist = gateway.metrics.histogram(
+            "gateway.upload_latency_s",
+            "end-to-end admission-to-apply latency of delivered uploads",
+            buckets=_latency_buckets(spec.latency_bound_s),
+        )
+        staleness_hist = gateway.metrics.histogram(
+            "gateway.applied_staleness",
+            "staleness of applied gradients at delivery time",
+            buckets=_staleness_buckets(spec.staleness_bound),
+        )
         requests = gateway.metrics.counter("gateway.requests")
         shed = gateway.metrics.counter("gateway.requests_shed")
         unavailable = gateway.metrics.counter("gateway.requests_unavailable")
@@ -306,7 +344,44 @@ class SLOEngine:
                 ),
             ],
             journal=journal,
+            latency_hist=latency_hist,
+            staleness_hist=staleness_hist,
         )
+
+    # hot-path
+    def on_delivery(
+        self, shard_id: str, shard, entries: list, batch: list, pre_clock: int,
+        now: float, start: float, end: float,
+    ) -> None:
+        """Delivery observer: one vectorized observe per SLI histogram.
+
+        Staleness is taken against ``pre_clock``, the shard clock before
+        the apply, clamped at zero for leases clamped forward by
+        rerouting.  Latency runs from gateway admission (the encoded
+        entry's stamp) to lane completion; results redelivered after a
+        failover keep their crash-era admission stamp — they DID wait
+        that long.
+        """
+        stale = np.fromiter(
+            (pre_clock - result.pull_step for result in batch),
+            dtype=np.float64,
+            count=len(batch),
+        )
+        np.maximum(stale, 0.0, out=stale)
+        self.staleness_hist.observe_many(stale)
+        admitted = [entry.admitted_at for entry in entries]
+        self.latency_hist.observe_many(end - np.asarray(admitted, dtype=np.float64))
+
+    def on_pump(self, now: float) -> None:
+        """Pump observer: :meth:`evaluate` on the spec's quantized cadence.
+
+        Evaluating on every pump would tax the hot path without adding
+        fidelity on the burn windows' timescale, and the fixed cadence is
+        what makes same-seed virtual-clock runs alert-identical.
+        """
+        if now >= self._next_evaluation_s:
+            self._next_evaluation_s = now + self.spec.evaluate_every_s
+            self.evaluate(now)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -326,11 +401,6 @@ class SLOEngine:
     def active_alerts(self) -> tuple[str, ...]:
         """Names of the currently-firing objectives (stable order)."""
         return self.alerts.active
-
-    @property
-    def last(self) -> dict[str, SLOStatus]:
-        """Statuses from the most recent evaluation (empty before one)."""
-        return dict(self._last)
 
     # ------------------------------------------------------------------
     # Reporting

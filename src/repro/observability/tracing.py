@@ -5,9 +5,10 @@ reaches :meth:`~repro.gateway.gateway.Gateway.handle_result` and rides on
 the :class:`~repro.server.protocol.TaskResult` envelope through the
 micro-batcher, the runtime lane, the shard's stage chain and the final
 aggregation — each hop stamps timestamps or phase durations onto it.  The
-gateway finishes the context when the batch it traveled in is delivered,
-turning it into an immutable :class:`FinishedTrace` of contiguous spans
-that **sum exactly to the upload's end-to-end latency**.
+tracer's gateway delivery observer (:meth:`UploadTracer.on_delivery`)
+finishes the context when the batch it traveled in is delivered, turning
+it into an immutable :class:`FinishedTrace` of contiguous spans that
+**sum exactly to the upload's end-to-end latency**.
 
 Two clock domains, matching the executor:
 
@@ -251,30 +252,28 @@ class UploadTracer:
     # ------------------------------------------------------------------
     # Finishing
     # ------------------------------------------------------------------
-    def finish(
-        self,
-        ctx: TraceContext,
-        shard_id: str,
-        batch_size: int,
-        flushed: float,
-        lane_start: float,
-        lane_end: float,
-    ) -> FinishedTrace:
-        """Close a context at batch delivery and collect the trace.
+    # hot-path
+    def on_delivery(
+        self, shard_id: str, shard, entries: list, batch: list, pre_clock: int,
+        now: float, start: float, end: float,
+    ) -> None:
+        """Gateway delivery observer: close and collect every traced upload.
 
-        ``flushed``/``lane_start``/``lane_end`` are the gateway's virtual
-        timeline of the delivering batch (flush instant, lane free
-        instant, service completion); wall mode ignores them in favor of
-        the stamps and phase measurements the hops recorded.
+        Including those a stage absorbed — their critical path still
+        ended here.  ``now``/``start``/``end`` are the gateway's virtual
+        timeline of the batch (flush instant, lane free instant, service
+        completion); wall mode ignores them in favor of the stamps and
+        phase measurements the hops recorded.
         """
-        if self.clock == "virtual":
-            trace = self._finish_virtual(
-                ctx, shard_id, batch_size, flushed, lane_start, lane_end
-            )
-        else:
-            trace = self._finish_wall(ctx, shard_id, batch_size)
-        self.collector.add(trace)
-        return trace
+        for result in batch:
+            ctx = result.trace
+            if ctx is None:
+                continue
+            if self.clock == "virtual":
+                trace = self._finish_virtual(ctx, shard_id, len(batch), now, start, end)
+            else:
+                trace = self._finish_wall(ctx, shard_id, len(batch))
+            self.collector.add(trace)
 
     def _finish_virtual(
         self,

@@ -205,7 +205,7 @@ class ElasticityController:
         if queue_depth > policy.scale_up_queue_depth:
             pressure.append(f"queue depth {queue_depth:.1f}")
         if policy.scale_up_on_alert:
-            engine = getattr(self.gateway, "slo_engine", None)
+            engine = self.gateway.slo_engine
             alerts = engine.active_alerts() if engine is not None else ()
             if alerts:
                 pressure.append("slo alert " + "+".join(alerts))
@@ -279,14 +279,12 @@ class ElasticityController:
             queue_depth=queue_depth,
         )
         self.events.append(event)
-        journal = getattr(self.gateway, "journal", None)
-        if journal is not None:
-            journal.scaling(event)
+        self.gateway.journal.scaling(event)
         self._retune_admission(now)
 
     def _retune_admission(self, now: float) -> None:
         rate = self.policy.admission_rate_per_shard
-        bucket = getattr(self.gateway, "bucket", None)
+        bucket = self.gateway.bucket
         if rate is None or bucket is None:
             return
         bucket.set_rate(rate * self.gateway.num_shards, now)

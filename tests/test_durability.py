@@ -339,12 +339,12 @@ class TestFailureDetector:
     def test_dead_stays_dead_until_revived(self):
         detector = FailureDetector(timeout_s=5.0)
         detector.register("a", now=0.0)
-        detector.mark_dead("a", now=1.0)
-        detector.beat("a", now=2.0)  # a zombie beat must not resurrect it
+        assert detector.suspects(now=6.0) == ["a"]
+        detector.beat("a", now=7.0)  # a zombie beat must not resurrect it
         assert detector.is_dead("a")
-        detector.revive("a", now=3.0)
+        detector.revive("a", now=8.0)
         assert not detector.is_dead("a")
-        assert detector.suspects(now=7.0) == []  # revival counted as a beat
+        assert detector.suspects(now=12.0) == []  # revival counted as a beat
 
     def test_deregister_is_not_a_failure(self):
         detector = FailureDetector(timeout_s=5.0)
@@ -554,7 +554,7 @@ class TestGatewayFailover:
         gateway.heartbeat(now=20.0)
         assert victim in gateway.shards
         assert gateway.durability.restores == 1
-        assert not gateway.detector.is_dead(victim)
+        assert not gateway.durability.detector.is_dead(victim)
         kinds = gateway.journal.counts_by_kind()
         assert kinds["shard_crash"] == 2  # injection + detector verdicts
         assert kinds["failover_start"] == 1
@@ -587,7 +587,7 @@ class TestGatewayFailover:
         victim = sorted(gateway.shards)[0]
         gateway.crash_shard(victim, now=1.0)
         gateway.heartbeat(now=50.0)
-        assert gateway.detector.is_dead(victim)  # detected ...
+        assert gateway.durability.detector.is_dead(victim)  # detected ...
         assert victim not in gateway.shards  # ... but not auto-restored
         report = gateway.failover(victim, now=51.0)
         assert victim in gateway.shards
@@ -633,7 +633,7 @@ class TestGatewayFailover:
         )
         assert report.replayed_records == 0  # retirement checkpoint is final
         assert fresh.clock == retired["latest_clock"]
-        assert not gateway.detector.is_dead(retired_id)
+        assert not gateway.durability.detector.is_dead(retired_id)
         gateway.finalize(now=6.0)
         assert gateway.results_applied == gateway.results_received()
 
@@ -719,7 +719,7 @@ class TestDurabilityPlumbing:
         assert spec.durability.checkpoint_every_updates == 7
         gateway = Gateway.from_spec(2, spec, GatewayConfig(batch_size=1))
         assert gateway.durability is not None
-        assert gateway.detector is not None
+        assert gateway.durability.detector is not None
         for shard_id in gateway.shards:
             assert gateway.durability.has(shard_id)
         gateway.finalize(now=1.0)

@@ -10,18 +10,27 @@ import pytest
 from repro.core import make_fedavg
 from repro.core.adasgd import GradientUpdate
 from repro.devices.device import DeviceFeatures
+from repro.durability import DurabilitySpec
 from repro.gateway import (
     ConsistentHashRing,
     Gateway,
     GatewayConfig,
     MicroBatcher,
+    RoutingSpec,
     ShardSynchronizer,
     TokenBucket,
 )
+from repro.observability import ObservabilitySpec, SLOSpec
 from repro.profiler import IProf, SLO
-from repro.runtime import AggregationCostModel
+from repro.runtime import AggregationCostModel, ElasticityPolicy, RuntimeSpec
 from repro.server import FleetServer, VectorCodec
-from repro.server.protocol import RejectionReason, TaskRejection, TaskResult
+from repro.server.protocol import (
+    RejectionReason,
+    TaskAssignment,
+    TaskRejection,
+    TaskRequest,
+    TaskResult,
+)
 
 DIM = 16
 NUM_LABELS = 4
@@ -648,15 +657,98 @@ class TestStoredBlockIngest:
         half = len(workers) // 2
         assert half > 0
         # Half sit in the victim's micro-batch when it crashes; the rest
-        # arrive during the outage and are parked by _stash_crashed.
+        # arrive during the outage and are parked in the crash ledger.
         for worker in workers[:half]:
             gateway.handle_result(_result(worker, gradients[worker]), now=0.0)
         gateway.crash_shard(victim, now=1.0)
         for worker in workers[half:]:
             gateway.handle_result(_result(worker, gradients[worker]), now=2.0)
-        assert len(gateway._crash_pending[victim]) == len(workers)
+        assert len(gateway.crashes[victim].parked) == len(workers)
 
         seen = self._spy_deliveries(gateway)
         gateway.failover(victim, now=3.0)
         self._assert_delivered_exactly(seen, gradients)
         assert gateway.shards[victim].results_applied == len(workers)
+
+
+class TestEverySubsystemAttached:
+    """SLO, durability, tracing, autoscaling and deadline routing at once.
+
+    Each optional subsystem attaches to the gateway as a delivery and/or
+    pump observer; this drives all of them through one run with a crash,
+    a detector-driven failover and ``finalize``.
+    """
+
+    @staticmethod
+    def _request(worker_id: int) -> TaskRequest:
+        return TaskRequest(
+            worker_id=worker_id,
+            device_model="Galaxy S7",
+            features=_features(),
+            label_counts=np.ones(NUM_LABELS),
+        )
+
+    def _run(self, root) -> Gateway:
+        gateway = Gateway.from_factory(
+            2,
+            lambda i: _fedavg_shard(),
+            GatewayConfig(batch_size=4, batch_deadline_s=1.0, sync_every_s=15.0),
+            cost_model=AggregationCostModel(per_flush_s=0.05, per_result_s=0.02),
+            runtime=RuntimeSpec(
+                mode="async",
+                executor="virtual",
+                autoscale=ElasticityPolicy(
+                    min_shards=2, max_shards=4, window_s=5.0, cooldown_s=5.0,
+                    scale_up_occupancy=0.1, scale_down_occupancy=0.05,
+                ),
+                routing=RoutingSpec(policy="deadline"),
+            ),
+            observability=ObservabilitySpec(sample_rate=1.0),
+            durability=DurabilitySpec(
+                root_dir=root, checkpoint_every_updates=5, detector_timeout_s=5.0
+            ),
+            slo=SLOSpec(
+                latency_bound_s=0.5, fast_window_s=5.0, slow_window_s=20.0,
+                evaluate_every_s=0.5,
+            ),
+        )
+        rng = np.random.default_rng(3)
+        victim = None
+        for step in range(60):
+            now = step * 0.5
+            if step == 10:
+                victim = sorted(gateway.shards)[0]
+                gateway.crash_shard(victim, now=now)
+            for worker_id in range(16):
+                response = gateway.handle_request(self._request(worker_id), now=now)
+                if isinstance(response, TaskAssignment):
+                    gateway.handle_result(
+                        _result(worker_id, rng.normal(size=DIM), response.pull_step),
+                        now=now,
+                    )
+        # Detected and failed over by the pump, before finalize.
+        assert victim in gateway.shards and not gateway.crashed_shards
+        gateway.finalize(now=40.0)
+        gateway.durability.close()
+        return gateway
+
+    def test_same_seed_runs_agree_and_every_ledger_balances(self, tmp_path):
+        first = self._run(tmp_path / "a")
+        second = self._run(tmp_path / "b")
+        assert first.journal.to_dicts() == second.journal.to_dicts()
+        assert first.slo_engine.snapshot() == second.slo_engine.snapshot()
+
+        kinds = first.journal.counts_by_kind()
+        assert kinds["shard_crash"] == 2  # injection + detector verdict
+        assert kinds["failover_done"] == 1
+        assert kinds["scale"] >= 1
+        assert first.slo_engine.evaluations > 0
+
+        delivered = first.metrics.summaries["gateway.batch_size"].sum()
+        latency = first.metrics.histograms["gateway.upload_latency_s"]
+        assert latency.count == delivered
+        assert first.metrics.histograms["gateway.applied_staleness"].count == delivered
+        tracer = first.tracer
+        assert tracer.started > 0
+        assert tracer.collector.finished + tracer.dropped == tracer.started
+        assert first.results_applied == first.results_received()

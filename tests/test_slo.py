@@ -293,7 +293,7 @@ class TestGatewayIntegration:
             cost_model=AggregationCostModel(per_flush_s=0.5, per_result_s=0.1),
         )
         assert gateway.slo_engine is None
-        assert gateway.upload_latency_hist is None
+        assert "gateway.upload_latency_s" not in gateway.metrics.histograms
         _drive(gateway, uploads=20)  # no crash without the engine
 
     def test_alert_pressure_scales_the_tier_up(self):
