@@ -5,10 +5,18 @@ The paper's image-classification setup is scaled down (~10× fewer examples,
 seconds on a laptop while preserving the phenomena under study: relative
 convergence speed under staleness, divergence of staleness-unaware
 averaging, similarity boosting, and controller pruning trade-offs.
+
+A figure's independent training runs go through :func:`parallel_runs`
+(two forked processes); each run owns its seeds, so the curves match a
+serial loop's exactly.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -134,6 +142,61 @@ def run_convergence(
         eval_every=eval_every, eval_size=250, **runner_kwargs,
     )
     return curve, server
+
+
+def convergence_curve(workload: str, kind: str, mu_sigma, num_steps: int,
+                      seed: int, **kwargs):
+    """:func:`run_convergence` on a named workload with a fresh model;
+    returns the curve only (a server does not pickle), for
+    :func:`parallel_runs`."""
+    dataset, partition = _WORKLOADS[workload][0]()
+    model = _WORKLOADS[workload][1]()
+    return run_convergence(
+        kind, dataset, partition, model, mu_sigma, num_steps, seed, **kwargs
+    )[0]
+
+
+_WORKLOADS = {
+    "mnist": (mnist_workload, fresh_mnist_model),
+    "emnist": (emnist_workload, fresh_emnist_model),
+    "cifar": (cifar_workload, fresh_cifar_model),
+}
+
+
+def _call(fn_and_kwargs):
+    fn, kwargs = fn_and_kwargs
+    return fn(**kwargs)
+
+
+def parallel_runs(fn, arms: dict, cost=None) -> dict:
+    """``{name: fn(**job) for name, job in arms.items()}``, spread over two
+    forked processes, the jobs of highest ``cost(job)`` submitted first.
+
+    Every job is one training run with its own seeds, so the results
+    are the ones a serial loop gives. ``fn`` must be a module-level
+    function and its results must pickle. Falls back to the serial loop
+    on one CPU, or when this process runs other threads: a fork copies
+    only the calling thread, and a lock another thread held would stay
+    locked in the child.
+    """
+    names = sorted(arms, key=lambda name: -cost(arms[name])) if cost else list(arms)
+    jobs = [arms[name] for name in names]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if min(cpus, len(jobs)) < 2 or threading.active_count() > 1:
+        results = [fn(**job) for job in jobs]
+    else:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(2, mp_context=context) as pool:
+            results = list(pool.map(_call, [(fn, job) for job in jobs]))
+    by_name = dict(zip(names, results))
+    return {name: by_name[name] for name in arms}
+
+
+def parallel_curves(arms: dict) -> dict:
+    """:func:`parallel_runs` of :func:`convergence_curve`, longest runs first."""
+    for job in arms.values():  # build once, before the fork shares it
+        _WORKLOADS[job["workload"]][0]()
+    return parallel_runs(convergence_curve, arms, cost=lambda job: job["num_steps"])
 
 
 def mean_steps_to(curves, target: float) -> float | None:

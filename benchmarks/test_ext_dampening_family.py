@@ -19,7 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import fmt_row
-from _workloads import fresh_mnist_model, mnist_workload, run_convergence
+from _workloads import (
+    convergence_curve,
+    fresh_mnist_model,
+    mnist_workload,
+    parallel_runs,
+)
 from repro.analysis import accuracy_auc
 from repro.core import PolynomialDampening, StalenessAwareServer
 from repro.simulation import GaussianStaleness, run_staleness_experiment
@@ -45,14 +50,19 @@ def _run_power(power: float, seed: int = 0):
     )
 
 
+def _run_arm(power: float | None):
+    """One arm of the sweep; ``None`` is AdaSGD (adaptive exponential),
+    the reference arm on the same noise."""
+    if power is None:
+        return convergence_curve("mnist", "adasgd", D2, STEPS, seed=0)
+    return _run_power(power)
+
+
 def _sweep():
-    curves = {power: _run_power(power) for power in POWERS}
-    # AdaSGD (adaptive exponential) as the reference arm on the same noise.
-    dataset, partition = mnist_workload()
-    curves["adasgd"], _ = run_convergence(
-        "adasgd", dataset, partition, fresh_mnist_model(), D2, STEPS, seed=0,
-    )
-    return curves
+    mnist_workload()  # build once, before the fork shares it
+    arms = {power: dict(power=power) for power in POWERS}
+    arms["adasgd"] = dict(power=None)
+    return parallel_runs(_run_arm, arms)
 
 
 def test_ext_dampening_family(benchmark, report):

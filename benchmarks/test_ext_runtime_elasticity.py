@@ -82,7 +82,6 @@ def _gateway(num_shards: int, autoscale: bool) -> Gateway:
         cost_model=COST,
         runtime=RuntimeSpec(
             mode="async",
-            executor="virtual",
             queue_capacity=64,
             autoscale=POLICY if autoscale else None,
         ),
@@ -206,9 +205,7 @@ def test_ext_runtime_single_worker_determinism(benchmark, report):
         return gateway
 
     def _run():
-        return drive(None), drive(
-            RuntimeSpec(mode="async", executor="virtual", workers=1)
-        )
+        return drive(None), drive(RuntimeSpec(mode="async"))
 
     sync, asynchronous = benchmark.pedantic(_run, rounds=1, iterations=1)
 

@@ -128,7 +128,6 @@ def _build(policy: str, spec) -> Gateway:
         cost_model=COST,
         runtime=RuntimeSpec(
             mode="async",
-            executor="virtual",
             routing=RoutingSpec(
                 policy=policy,
                 # Fast devices measure ~1.5× the deadline (compute ≈ SLO

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from conftest import fmt_row
+from _workloads import parallel_runs
 from repro.data import make_image_dataset
 from repro.nn import build_mnist_cnn
 
@@ -66,12 +67,18 @@ def _train(num_strong: int, num_weak: int, seed: int = 0):
 
 
 def _experiment():
-    return {
-        "1 strong": _train(1, 0),
-        "10 strong": _train(10, 0),
-        "10 strong + 2 weak": _train(10, 2),
-        "10 strong + 4 weak": _train(10, 4),
+    _workload()  # build once, before the fork shares it
+    arms = {
+        "1 strong": (1, 0),
+        "10 strong": (10, 0),
+        "10 strong + 2 weak": (10, 2),
+        "10 strong + 4 weak": (10, 4),
     }
+    return parallel_runs(
+        _train,
+        {name: dict(num_strong=s, num_weak=w) for name, (s, w) in arms.items()},
+        cost=lambda job: job["num_strong"] + job["num_weak"],
+    )
 
 
 def test_fig03_weak_workers(benchmark, report):

@@ -11,12 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import fmt_row
-from _workloads import (
-    fresh_mnist_model,
-    mean_steps_to,
-    mnist_workload,
-    run_convergence,
-)
+from _workloads import mean_steps_to, parallel_curves
 
 # Three seeds: the staleness noise is strong enough at the scaled learning
 # rate that a single seed pair can flip the D2 ordering; the paper's claim
@@ -34,35 +29,25 @@ TARGET = 0.8
 
 
 def _full_comparison():
-    # A fresh model per run: run_staleness_experiment mutates the model
-    # object it is given, so sharing one across runs would leak trained
-    # weights from one algorithm's run into the next one's initialization.
-    dataset, partition = mnist_workload()
-    out = {}
-    out["ssgd"] = [
-        run_convergence(
-            "ssgd", dataset, partition, fresh_mnist_model(), None, 600, seed=s,
-            learning_rate=LEARNING_RATE,
-        )[0]
-        for s in SEEDS[:1]
-    ]
-    out["fedavg-D1"] = [
-        run_convergence(
-            "fedavg", dataset, partition, fresh_mnist_model(), (6, 2), 600,
-            seed=s, learning_rate=LEARNING_RATE,
-        )[0]
-        for s in SEEDS[:1]
-    ]
+    # A fresh model per run (convergence_curve builds one):
+    # run_staleness_experiment mutates the model object it is given, so
+    # sharing one across runs would leak trained weights from one
+    # algorithm's run into the next one's initialization.
+    arms = {
+        "ssgd": [("ssgd", None, 600, s) for s in SEEDS[:1]],
+        "fedavg-D1": [("fedavg", (6, 2), 600, s) for s in SEEDS[:1]],
+    }
     for dist_name, mu_sigma in [("D1", (6, 2)), ("D2", (12, 4))]:
         for kind in ("dynsgd", "adasgd"):
-            out[f"{kind}-{dist_name}"] = [
-                run_convergence(
-                    kind, dataset, partition, fresh_mnist_model(), mu_sigma,
-                    STEPS[dist_name], seed=s, learning_rate=LEARNING_RATE,
-                )[0]
-                for s in SEEDS
+            arms[f"{kind}-{dist_name}"] = [
+                (kind, mu_sigma, STEPS[dist_name], s) for s in SEEDS
             ]
-    return out
+    curves = parallel_curves({
+        run: dict(workload="mnist", kind=run[0], mu_sigma=run[1], num_steps=run[2],
+                  seed=run[3], learning_rate=LEARNING_RATE)
+        for runs in arms.values() for run in runs
+    })
+    return {name: [curves[run] for run in runs] for name, runs in arms.items()}
 
 
 def test_fig08_staleness_impact(benchmark, report):

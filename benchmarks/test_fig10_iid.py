@@ -15,43 +15,32 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import fmt_row
-from _workloads import (
-    cifar_workload,
-    emnist_workload,
-    fresh_cifar_model,
-    fresh_emnist_model,
-    run_convergence,
-)
+from _workloads import parallel_curves
 
 D2 = (12, 4)
 LR = 0.3
 
 
 def _experiment():
-    out = {}
-    dataset, partition = emnist_workload()
+    arms = {}
     for kind, steps in (("ssgd", 300), ("adasgd", 1200), ("dynsgd", 1200),
                         ("fedavg", 400)):
-        model = fresh_emnist_model()
-        mu_sigma = None if kind == "ssgd" else D2
-        out[f"emnist/{kind}"] = run_convergence(
-            kind, dataset, partition, model, mu_sigma, steps, seed=0,
-            eval_every=steps // 4, learning_rate=LR,
-        )[0]
-    dataset, partition = cifar_workload()
+        arms[f"emnist/{kind}"] = dict(
+            workload="emnist", kind=kind, mu_sigma=None if kind == "ssgd" else D2,
+            num_steps=steps, seed=0, eval_every=steps // 4, learning_rate=LR,
+        )
     for kind in ("adasgd", "dynsgd"):
-        model = fresh_cifar_model()
         # lr 0.15, not 0.3: AdaSGD's weights exceed DynSGD's for fresh
         # gradients (exponential > inverse below τ_thres/2, plus the
         # similarity boost), so its effective rate is ~2× higher — at 0.3
         # it crosses the stability boundary on this task while DynSGD
         # stays just inside, which is a scaled-lr artifact rather than the
         # paper's phenomenon.  At 0.15 both converge and AdaSGD leads.
-        out[f"cifar100/{kind}"] = run_convergence(
-            kind, dataset, partition, model, D2, 1800, seed=0,
+        arms[f"cifar100/{kind}"] = dict(
+            workload="cifar", kind=kind, mu_sigma=D2, num_steps=1800, seed=0,
             eval_every=360, learning_rate=0.15,
-        )[0]
-    return out
+        )
+    return parallel_curves(arms)
 
 
 def test_fig10_iid_data(benchmark, report):

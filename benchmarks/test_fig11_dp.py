@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import fmt_row
-from _workloads import fresh_mnist_model, mnist_workload, run_convergence
+from _workloads import mnist_workload, parallel_curves
 from repro.core import moments_epsilon
 
 D2 = (12, 4)
@@ -39,17 +39,14 @@ def _epsilons():
 
 
 def _experiment():
-    dataset, partition = mnist_workload()
-    curves = {}
-    for level, sigma in NOISE_LEVELS.items():
-        for kind in ("adasgd", "dynsgd"):
-            model = fresh_mnist_model()
-            curves[f"{kind}/{level}"] = run_convergence(
-                kind, dataset, partition, model, D2, STEPS, seed=0,
-                eval_every=175,
-                noise_multiplier=sigma, clip_norm=CLIP_NORM,
-            )[0]
-    return curves
+    return parallel_curves({
+        f"{kind}/{level}": dict(
+            workload="mnist", kind=kind, mu_sigma=D2, num_steps=STEPS, seed=0,
+            eval_every=175, noise_multiplier=sigma, clip_norm=CLIP_NORM,
+        )
+        for level, sigma in NOISE_LEVELS.items()
+        for kind in ("adasgd", "dynsgd")
+    })
 
 
 def test_fig11_differential_privacy(benchmark, report):

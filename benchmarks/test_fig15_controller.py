@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from _workloads import parallel_runs
 from repro.core import make_ssgd
 from repro.core.adasgd import GradientUpdate
 from repro.core.similarity import GlobalLabelTracker
@@ -91,11 +92,14 @@ def _run_pruned(mode: str, percentile: float, seed: int = 0):
 
 
 def _experiment():
-    out = {}
-    for mode in ("size", "similarity"):
-        for pct in PERCENTILES:
-            out[(mode, pct)] = _run_pruned(mode, pct)
-    return out
+    _workload()  # build once, before the fork shares it
+    arms = {
+        (mode, pct): dict(mode=mode, percentile=pct)
+        for mode in ("size", "similarity")
+        for pct in PERCENTILES
+    }
+    # Lower percentiles prune fewer tasks and run longer.
+    return parallel_runs(_run_pruned, arms, cost=lambda job: -job["percentile"])
 
 
 def test_fig15_controller_pruning(benchmark, report):

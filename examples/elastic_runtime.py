@@ -46,7 +46,6 @@ def build_gateway() -> Gateway:
         .slo(3.0)
         .runtime(
             mode="async",
-            executor="virtual",
             queue_capacity=32,
             autoscale=ElasticityPolicy(
                 min_shards=1,

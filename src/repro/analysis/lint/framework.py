@@ -90,8 +90,8 @@ class LintConfig:
     """Project policy knobs; the defaults ARE the repo's policy.
 
     ``wall_clock_modules`` are path suffixes (posix form) allowed to read
-    the wall clock: the observability tracer stamps real ``cpu_phases``
-    in wall mode, and the CLI reports elapsed run time.  Everything else
+    the wall clock: the CLI and the benchmarks' conftest report elapsed
+    run time.  Everything else
     must take a clock value as an argument.  A module can also opt in
     locally with a ``# repro: wall-clock`` comment.
     """

@@ -1,8 +1,8 @@
 """Lock discipline (RPR1xx): annotated shared state only moves under its lock.
 
-Threaded modules (runtime executors, observability rings, the durability
-saver, gateway shard maps) declare which instance attributes are shared
-across threads and which lock guards them:
+Threaded modules (metrics, observability rings, the durability saver)
+declare which instance attributes are shared across threads and which
+lock guards them:
 
 * inline, on the attribute's assignment::
 

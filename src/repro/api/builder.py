@@ -313,8 +313,8 @@ class FleetBuilder:
         """Attach a serving-runtime recipe to the spec.
 
         Pass a ready :class:`RuntimeSpec`, or keyword knobs (``mode``,
-        ``executor``, ``workers``, ``queue_capacity``, ``autoscale``) to
-        build one.  The runtime rides on the :class:`ServerSpec` so
+        ``queue_capacity``, ``autoscale``, ``routing``) to build one.  The
+        runtime rides on the :class:`ServerSpec` so
         ``Gateway.from_spec(n, spec)`` assembles the lanes and the
         autoscaler without a separate argument; ``build()`` ignores it.
         """

@@ -299,7 +299,6 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
             admission_rate = args.admission_rate * args.shards
     runtime = RuntimeSpec(
         mode=args.runtime,
-        executor="virtual",
         queue_capacity=args.queue_capacity,
         autoscale=policy,
         routing=routing,

@@ -207,9 +207,9 @@ class DurabilityManager:
         self, shard_id: str, shard, entries: list, batch: list, pre_clock: int,
         now: float, start: float, end: float,
     ) -> None:
-        """Delivery observer: cadence checkpoint (the caller holds the
-        shard guard, so the snapshot sees a quiescent shard) and a beat —
-        a delivery is proof of life."""
+        """Delivery observer: cadence checkpoint (lane jobs run inline on
+        the caller's thread, so the snapshot sees a quiescent shard) and
+        a beat — a delivery is proof of life."""
         self.maybe_checkpoint(shard_id, shard, now=now)
         self.detector.beat(shard_id, now)
 

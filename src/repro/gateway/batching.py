@@ -207,16 +207,6 @@ class MicroBatcher:
                 ctx.add_phase("decode", elapsed)
         return results
 
-    def drop(self, shard_id: str) -> None:
-        """Discard a shard's lane without decoding its pending entries.
-
-        :meth:`flush_encoded` already removes the lane it drains, so after
-        a flush this is a no-op; it exists for callers that want pending
-        entries thrown away outright, and keeps shard removal leak-free
-        even if a flush ever re-inserts lanes again.
-        """
-        self._lanes.pop(shard_id, None)
-
     def pending(self, shard_id: str) -> int:
         lane = self._lanes.get(shard_id)
         return len(lane.entries) if lane else 0

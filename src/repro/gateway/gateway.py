@@ -22,13 +22,14 @@ cannot tell the difference — but behind it:
   parameter averaging so cross-shard divergence stays bounded
   (:mod:`repro.gateway.sync`);
 * **runtime** — every flushed micro-batch is delivered through its
-  shard's lane of the :class:`~repro.runtime.runtime.ShardRuntime`; the
-  :class:`~repro.runtime.spec.RuntimeSpec` picks the substrate under that
-  one path (inline on the caller's thread by default, or bounded worker
-  lanes that shed when full) and may attach a queue-driven elasticity
-  controller that resizes the tier.  The runtime's lanes are also the
-  only model of virtual lane occupancy: the gateway's busy-time,
-  backlog, load and throughput accessors read them (:mod:`repro.runtime`);
+  shard's lane of the :class:`~repro.runtime.runtime.ShardRuntime`, which
+  runs it inline on the caller's thread; the
+  :class:`~repro.runtime.spec.RuntimeSpec` picks the lane's contract
+  (never shed by default, or a bounded virtual queue that sheds when
+  full) and may attach a queue-driven elasticity controller that resizes
+  the tier.  The runtime's lanes are also the only model of virtual lane
+  occupancy: the gateway's busy-time, backlog, load and throughput
+  accessors read them (:mod:`repro.runtime`);
 * **durability + failover** (optional) — every shard's deliveries are
   write-ahead logged and periodically checkpointed; a heartbeat failure
   detector declares silent shards dead and ``failover`` rebuilds them
@@ -54,10 +55,7 @@ discrete-event clock is exact enough — time only advances at events.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import threading
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -180,10 +178,9 @@ class Gateway:
             capacity=observability.journal_capacity if observability is not None else 8192
         )
         self.metrics = MetricsRegistry()
-        # Serving runtime: the one delivery path.  Without a spec, lanes
-        # run each flushed batch inline on the caller's thread and never
-        # shed.  Worker-lane threading shapes both the locking below and
-        # the tracer's clock domain, so the runtime is built first.
+        # Serving runtime: the one delivery path.  Every flushed batch
+        # runs inline on the caller's thread; without a spec, lanes never
+        # shed.  Built first, so its metrics register first.
         if runtime is None:
             runtime = RuntimeSpec(mode="sync")
         self.runtime = ShardRuntime(
@@ -191,12 +188,7 @@ class Gateway:
         )
         for shard_id in self._shards:
             self.runtime.add_lane(shard_id)
-        self._threaded = self.runtime.threaded
-        self.tracer = (
-            UploadTracer(observability, clock="wall" if self._threaded else "virtual")
-            if observability is not None
-            else None
-        )
+        self.tracer = UploadTracer(observability) if observability is not None else None
 
         # Placement policy: an explicit router wins, then the runtime
         # spec's routing recipe, then the classic consistent-hash ring.
@@ -247,17 +239,8 @@ class Gateway:
         # their lanes' occupancy the same way) — an elastic tier would
         # otherwise erase history (and regress the monotone ``clock`` the
         # fleet simulation's eval trigger rides on) at every scale-down.
-        # Written only on the caller's thread, after the lanes drain.
         self._retired_clock = 0
         self._retired_results_applied = 0
-        # Per-shard guards for threads mode: a lane serializes deliveries
-        # of ONE shard against each other, but the caller's thread still
-        # serves handle_request (model pull, similarity, profiler reads)
-        # for that shard concurrently with its lane job — these locks
-        # serialize the two.  No-ops outside the threaded executor.
-        self._shard_locks: dict[str, threading.Lock] = {
-            shard_id: threading.Lock() for shard_id in self._shards
-        }
         self._inflight: dict[int, str] = {}
         # Assignment timestamps: the measured request→result round trip
         # is the router's observed-latency signal.
@@ -374,16 +357,6 @@ class Gateway:
             self._now = max(self._now, now)
         return self._now
 
-    def _shard_guard(self, shard_id: str):
-        """Serialize caller-thread shard access against its worker lane.
-
-        Returns the shard's lock in threads mode, a no-op context
-        otherwise (the virtual executor runs inline on one thread).
-        """
-        if not self._threaded:
-            return contextlib.nullcontext()
-        return self._shard_locks[shard_id]
-
     # ------------------------------------------------------------------
     # Device-facing protocol (drop-in for FleetServer)
     # ------------------------------------------------------------------
@@ -423,8 +396,7 @@ class Gateway:
             return TaskRejection(
                 reason=RejectionReason.OVERLOADED, batch_size=0, similarity=0.0
             )
-        with self._shard_guard(shard_id):
-            response = self._shards[shard_id].handle_request(request)
+        response = self._shards[shard_id].handle_request(request)
         if isinstance(response, TaskAssignment):
             self._assigned.increment()
             self._inflight[request.worker_id] = shard_id
@@ -463,8 +435,7 @@ class Gateway:
             # clamp the lease to keep staleness non-negative.
             shard_id = self.shard_for(result.worker_id)
             if shard_id in self._shards:
-                with self._shard_guard(shard_id):
-                    clock = self._shards[shard_id].clock
+                clock = self._shards[shard_id].clock
                 if result.pull_step > clock:
                     result = dataclasses.replace(result, pull_step=clock)
         if shard_id in self._crashed:
@@ -493,15 +464,6 @@ class Gateway:
     # ------------------------------------------------------------------
     # Internal machinery
     # ------------------------------------------------------------------
-    def _stamp(self, entries: list, name: str) -> None:
-        """Wall-clock stamp on every traced entry (threaded lanes only)."""
-        if self.tracer is None or self.tracer.clock != "wall":
-            return
-        at = time.perf_counter()
-        for entry in entries:
-            if entry.metadata.trace is not None:
-                entry.metadata.trace.stamp(name, at)
-
     # hot-path
     def _dispatch(
         self, shard_id: str, entries: list, now: float, inline: bool = False
@@ -509,25 +471,21 @@ class Gateway:
         """Hand a flushed micro-batch (possibly empty) to the shard's lane.
 
         The lane's job is the full back half of the serving path — codec
-        decode, stage ``on_batch`` hooks, ``submit_many``.  Returns the
-        model-updated outcome when the lane resolved it already (inline
-        lanes and ``inline`` batches always have); a threaded lane
-        resolves later and this returns False — the caller's thread paid
-        only for encode + enqueue.  A full lane rejects the batch
-        (counted by the runtime); an ``inline`` batch is never shed.
+        decode, stage ``on_batch`` hooks, ``submit_many`` — and runs on
+        this thread before ``submit`` returns, so a job error reaches the
+        caller.  Returns whether the batch updated the shard's model.  A
+        full lane rejects the batch (counted by the runtime); an
+        ``inline`` batch is never shed.
         """
         if not entries:
             return False
-        self._stamp(entries, "flushed")
 
         def job(start: float, end: float) -> bool:
-            self._stamp(entries, "job_start")
             batch = self.batcher.decode_entries(entries)
-            with self._shard_guard(shard_id):
-                return self._deliver(shard_id, entries, batch, now, start, end)
+            return self._deliver(shard_id, entries, batch, now, start, end)
 
-        ticket = self.runtime.submit(shard_id, len(entries), job, now, inline=inline)
-        if ticket is None:
+        updated = self.runtime.submit(shard_id, len(entries), job, now, inline=inline)
+        if updated is None:
             # Lane-full shed: traced uploads in the dropped batch never
             # finish — count them so sampled-vs-finished stays auditable.
             if self.tracer is not None:
@@ -535,7 +493,7 @@ class Gateway:
                     if entry.metadata.trace is not None:
                         self.tracer.drop(entry.metadata.trace)
             return False
-        return ticket.done() and bool(ticket.result())
+        return updated
 
     # hot-path
     def _deliver(
@@ -594,14 +552,8 @@ class Gateway:
     # Synchronization and membership
     # ------------------------------------------------------------------
     def synchronize(self, now: float | None = None) -> None:
-        """Blend shard models (weighted by fresh updates) and broadcast.
-
-        The worker lanes are drained first: a lane job folding gradients
-        concurrently with the parameter broadcast would race the models
-        it blends.
-        """
+        """Blend shard models (weighted by fresh updates) and broadcast."""
         now = self._advance(now)
-        self.runtime.drain()
         record = self.synchronizer.synchronize(self._shards, now)
         self._syncs.increment()
         self._divergence.observe(record.max_divergence)
@@ -622,7 +574,7 @@ class Gateway:
         return flushed
 
     def finalize(self, now: float | None = None) -> None:
-        """End of run: recover any dead shards, drain lanes, converge.
+        """End of run: recover any dead shards, flush, converge.
 
         Crashed shards are failed over first (when a factory is
         retained) so their durable state — and every result parked for
@@ -633,7 +585,6 @@ class Gateway:
             for shard_id in sorted(self._crashed):
                 self.failover(shard_id, now)
         self.flush_all(now)
-        self.runtime.drain()
         if len(self._shards) > 1:
             self.synchronize(now)
         if self.durability is not None:
@@ -644,7 +595,6 @@ class Gateway:
     ) -> str:
         """Join a shard: it inherits the consensus model, then takes ~1/N keys."""
         now = self._advance(now)
-        self.runtime.drain()  # quiesce lanes before touching models
         if shard_id is None:
             shard_id = f"shard-{len(self._shards)}"
             while shard_id in self._shards:
@@ -657,7 +607,6 @@ class Gateway:
             self.synchronize(now)
         shard.optimizer.set_parameters(self.synchronizer.blend(self._shards))
         self._shards[shard_id] = shard
-        self._shard_locks[shard_id] = threading.Lock()
         self.router.add_shard(shard_id, now)
         self.runtime.add_lane(shard_id)
         if self.durability is not None:
@@ -674,11 +623,9 @@ class Gateway:
         if len(self._shards) == 1:
             raise ValueError("cannot remove the last shard")
         now = self._advance(now)
-        self.runtime.drain()  # quiesce lanes before draining the leaver
         # Inline: the leaver's learning must be in its model before the
         # farewell sync, and a shard on its way out cannot be queue-shed.
         self._dispatch(shard_id, self.batcher.flush_encoded(shard_id), now, inline=True)
-        self.batcher.drop(shard_id)
         # One sync while the leaver still participates: its updates enter
         # the consensus, so removing it afterwards loses nothing.
         self.synchronize(now)
@@ -692,7 +639,6 @@ class Gateway:
         self._retired_clock += shard.clock
         self._retired_results_applied += shard.results_applied
         self.runtime.drop_lane(shard_id)
-        self._shard_locks.pop(shard_id, None)
         self._inflight = {
             worker: owner for worker, owner in self._inflight.items() if owner != shard_id
         }
@@ -758,14 +704,12 @@ class Gateway:
                 "crash_shard needs durability: without a WAL the shard's "
                 "state would be unrecoverable"
             )
-        self.runtime.drain()  # entrained lane jobs finish or die now
         server = self._shards.pop(shard_id)
         self.journal.shard_crash(now, shard_id, clock=server.clock, detected_by="injection")
         # Pending micro-batch entries live in the GATEWAY, not the shard:
         # they were acked on arrival, so they ride out the crash parked.
         pending = self.batcher.flush_encoded(shard_id)
         self._crashed[shard_id] = CrashRecord(now, server.clock, server.results_applied, pending)
-        self.batcher.drop(shard_id)
         self.durability.drop_attachment(shard_id)
         self.runtime.fail_lane(shard_id)
 
@@ -794,7 +738,6 @@ class Gateway:
         report = self.durability.restore(shard_id, fresh, now=now)
         self._shards[shard_id] = fresh
         crash = self._crashed.pop(shard_id)
-        self._shard_locks.setdefault(shard_id, threading.Lock())
         self.runtime.add_lane(shard_id)
         self.router.on_failover(shard_id, now)
         # Inline: a restored shard cannot be queue-shed.

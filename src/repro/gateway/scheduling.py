@@ -20,9 +20,11 @@ already produces:
   device that *measures* slow is caught even when its prediction meets
   the deadline;
 * **live shard load** — :meth:`repro.gateway.gateway.Gateway.shard_load`
-  blends the lane's recent service-time accrual, the runtime's queue
-  depth × :class:`~repro.runtime.telemetry.ServiceTimeEstimator` service
-  time, and the seconds of work recently shed by full lanes.
+  reads the runtime lane's
+  :meth:`~repro.runtime.runtime.ShardRuntime.load_s`:
+  ``max(recent_load, backlog) + recent_shed_s`` — the larger of the
+  lane's decayed recent service and its virtual backlog, plus the
+  seconds of work recently shed by full lanes.
 
 :class:`DeadlineAwareRouter` keeps fast devices on their hash-ring home
 (profiler history and pull leases stay put for the bulk of the fleet)

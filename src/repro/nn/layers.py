@@ -101,19 +101,24 @@ def im2col(
 
     Returns the patch matrix together with the output spatial dimensions.
     """
-    n, c, h, w = x.shape
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * out_h
-        for j in range(kw):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-    return cols, out_h, out_w
+    n, c, h, w = x.shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    # One gather from a strided view of every window, straight into patch
+    # order. GEMM rounds by memory layout, so the layout is part of the
+    # result: a single image's patches stay column-major, as the transpose
+    # of a window-offset-major unfold leaves them.
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        (n, out_h, out_w, c, kh, kw),
+        (sn, stride * sh, stride * sw, sc, sh, sw),
+        writeable=False,
+    )
+    cols = np.ascontiguousarray(windows).reshape(n * out_h * out_w, -1)
+    return (np.asfortranarray(cols) if n == 1 else cols), out_h, out_w
 
 
 def col2im(
@@ -184,7 +189,11 @@ class Conv2D(Layer):
         w_mat = self.params["W"].reshape(self.out_channels, -1)
         out = cols @ w_mat.T + self.params["b"]
         n = x.shape[0]
-        out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        # Contiguous NCHW, so the activation and pooling that follow (and
+        # their backward passes) stream memory in the same order.
+        out = np.ascontiguousarray(
+            out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        )
         self._cache = (x.shape, cols, out_h, out_w)
         return out
 

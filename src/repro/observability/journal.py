@@ -10,8 +10,8 @@ exports as JSONL for offline analysis (``repro trace-report``).
 The journal is a ring: the most recent ``capacity`` records are retained,
 but per-kind counts are monotone, so "how many sheds happened" survives
 eviction even when the shed records themselves rotated out.  ``record``
-is thread-safe — runtime lane threads journal lane sheds concurrently
-with the gateway caller's admission sheds.
+is thread-safe, so a journal can be shared beyond the gateway caller's
+thread, which writes every serving-tier record.
 """
 
 from __future__ import annotations

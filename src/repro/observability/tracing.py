@@ -4,27 +4,19 @@ A :class:`TraceContext` is allocated (by sampling) when a gradient upload
 reaches :meth:`~repro.gateway.gateway.Gateway.handle_result` and rides on
 the :class:`~repro.server.protocol.TaskResult` envelope through the
 micro-batcher, the runtime lane, the shard's stage chain and the final
-aggregation — each hop stamps timestamps or phase durations onto it.  The
-tracer's gateway delivery observer (:meth:`UploadTracer.on_delivery`)
-finishes the context when the batch it traveled in is delivered, turning
-it into an immutable :class:`FinishedTrace` of contiguous spans that
-**sum exactly to the upload's end-to-end latency**.
+aggregation — the hops record phase durations onto it.  The tracer's
+gateway delivery observer (:meth:`UploadTracer.on_delivery`) finishes
+the context when the batch it traveled in is delivered, turning it into
+an immutable :class:`FinishedTrace` of contiguous spans that **sum
+exactly to the upload's end-to-end latency**.
 
-Two clock domains, matching the executor:
-
-* ``virtual`` (sync gateway or the virtual-lane runtime) — spans are
-  ``queue.batcher`` (admission → flush), ``queue.lane`` (flush → the
-  shard lane freeing up) and ``apply`` (the cost model's service time),
-  all derived from the discrete-event clock, so single-worker traces are
-  **bit-stable** under a seed.  Wall-clock measurements of the decode /
-  stage / fold work still ride along as informational ``cpu_phases``
-  (they do not enter the span sum — they are real time inside a modeled
-  span, not additional latency);
-* ``wall`` (the threads executor) — spans are measured with
-  ``time.perf_counter()``: ``queue.batcher``, ``queue.lane``, then the
-  measured ``decode`` / ``stage:*`` / ``fold`` phases laid end to end,
-  with an ``other`` span absorbing the residual (lock waits,
-  bookkeeping) so the sum still matches the measured total.
+Spans live on the virtual clock: ``queue.batcher`` (admission → flush),
+``queue.lane`` (flush → the shard lane freeing up) and ``apply`` (the
+cost model's service time), all derived from the discrete-event clock,
+so traces are **bit-stable** under a seed.  Wall-clock measurements of
+the decode / stage / fold work ride along as informational
+``cpu_phases``: they do not enter the span sum — they are real time
+inside a modeled span, not additional latency.
 
 Sampling is deterministic: upload N is traced iff
 ``mix64(N ^ mix64(seed)) < sample_rate · 2^64`` — a splitmix64-style
@@ -36,7 +28,6 @@ comparison.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -89,21 +80,14 @@ class ObservabilitySpec:
 class TraceContext:
     """Mutable per-upload trace state riding on the protocol envelope.
 
-    Only one thread touches a context at a time: the gateway caller's
-    thread until the batch is handed to a lane, that lane's worker thread
-    afterwards — the micro-batcher handoff is the synchronization point,
-    so no lock is needed.
+    Only the gateway caller's thread touches a context (lane jobs run
+    inline on it), so no lock is needed.
     """
 
     upload_id: int
     worker_id: int
     admitted_at: float
-    stamps: dict[str, float] = field(default_factory=dict)
     phases: list[tuple[str, float]] = field(default_factory=list)
-
-    def stamp(self, name: str, at: float) -> None:
-        """Record a point-in-time mark (wall mode: flush, job start)."""
-        self.stamps[name] = at
 
     def add_phase(self, name: str, seconds: float) -> None:
         """Record a measured duration (decode, stage:*, fold)."""
@@ -136,15 +120,14 @@ class FinishedTrace:
     """Immutable span timeline of one completed upload.
 
     ``spans`` are contiguous and sum to ``total_s`` (the end-to-end
-    latency in the trace's clock domain).  ``cpu_phases`` carry wall
-    measurements made inside virtual spans — informational only, empty
-    in wall mode where the measurements ARE spans.
+    virtual latency).  ``cpu_phases`` carry wall measurements made inside
+    virtual spans — informational only.
     """
 
     upload_id: int
     worker_id: int
     shard_id: str
-    clock: str  # "virtual" | "wall"
+    clock: str  # the span clock domain: always "virtual"
     batch_size: int
     admitted_at: float
     total_s: float
@@ -203,11 +186,8 @@ class SpanCollector:
 class UploadTracer:
     """Samples, carries and finishes upload traces for one gateway."""
 
-    def __init__(self, spec: ObservabilitySpec, clock: str = "virtual") -> None:
-        if clock not in ("virtual", "wall"):
-            raise ValueError("clock must be 'virtual' or 'wall'")
+    def __init__(self, spec: ObservabilitySpec) -> None:
         self.spec = spec
-        self.clock = clock
         self.collector = SpanCollector(spec.max_traces)
         self._seed_mix = _mix64(spec.seed)
         self._threshold = int(spec.sample_rate * float(1 << 64))
@@ -227,19 +207,14 @@ class UploadTracer:
         return _mix64(seq ^ self._seed_mix) < self._threshold
 
     def begin(self, worker_id: int, now: float) -> TraceContext | None:
-        """Admit one upload to tracing; None when the sampler skips it.
-
-        ``now`` is the virtual admission time; wall mode stamps its own
-        monotonic clock instead, since virtual time does not advance
-        inside a threaded lane.
-        """
+        """Admit one upload to tracing at virtual time ``now``; None when
+        the sampler skips it."""
         seq = self._seq
         self._seq += 1
         if not self.would_sample(seq):
             return None
-        admitted = time.perf_counter() if self.clock == "wall" else now
         self.started += 1
-        return TraceContext(upload_id=seq, worker_id=worker_id, admitted_at=admitted)
+        return TraceContext(upload_id=seq, worker_id=worker_id, admitted_at=now)
 
     @property
     def uploads_seen(self) -> int:
@@ -262,20 +237,15 @@ class UploadTracer:
         Including those a stage absorbed — their critical path still
         ended here.  ``now``/``start``/``end`` are the gateway's virtual
         timeline of the batch (flush instant, lane free instant, service
-        completion); wall mode ignores them in favor of the stamps and
-        phase measurements the hops recorded.
+        completion).
         """
         for result in batch:
             ctx = result.trace
             if ctx is None:
                 continue
-            if self.clock == "virtual":
-                trace = self._finish_virtual(ctx, shard_id, len(batch), now, start, end)
-            else:
-                trace = self._finish_wall(ctx, shard_id, len(batch))
-            self.collector.add(trace)
+            self.collector.add(self._finish(ctx, shard_id, len(batch), now, start, end))
 
-    def _finish_virtual(
+    def _finish(
         self,
         ctx: TraceContext,
         shard_id: str,
@@ -305,36 +275,4 @@ class UploadTracer:
             total_s=lane_end - ctx.admitted_at,
             spans=spans,
             cpu_phases=tuple(ctx.phases),
-        )
-
-    def _finish_wall(
-        self, ctx: TraceContext, shard_id: str, batch_size: int
-    ) -> FinishedTrace:
-        end = time.perf_counter()
-        flushed = max(ctx.stamps.get("flushed", ctx.admitted_at), ctx.admitted_at)
-        job_start = max(ctx.stamps.get("job_start", flushed), flushed)
-        spans = [
-            Span("queue.batcher", ctx.admitted_at, flushed),
-            Span("queue.lane", flushed, job_start),
-        ]
-        # The measured phases tile the lane job front to back; whatever
-        # the named phases did not cover (locks, profiler feedback,
-        # bookkeeping) becomes the explicit "other" span, so the span sum
-        # equals the measured end-to-end latency.
-        cursor = job_start
-        for name, duration in ctx.phases:
-            stop = min(cursor + max(0.0, duration), end)
-            spans.append(Span(name, cursor, stop))
-            cursor = stop
-        if end > cursor:
-            spans.append(Span("other", cursor, end))
-        return FinishedTrace(
-            upload_id=ctx.upload_id,
-            worker_id=ctx.worker_id,
-            shard_id=shard_id,
-            clock="wall",
-            batch_size=batch_size,
-            admitted_at=ctx.admitted_at,
-            total_s=end - ctx.admitted_at,
-            spans=tuple(spans),
         )

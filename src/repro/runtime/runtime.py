@@ -1,9 +1,10 @@
-"""``ShardRuntime``: bounded per-shard lanes in front of the executors.
+"""``ShardRuntime``: bounded per-shard lanes on the virtual clock.
 
 The gateway hands every flushed micro-batch to :meth:`ShardRuntime.submit`
 as an opaque job (decode → stage ``on_batch`` → ``submit_many``, closed
-over the shard) — it is the gateway's only delivery path.  Around that
-job the runtime owns:
+over the shard) — it is the gateway's only delivery path, and every
+admitted job runs inline, on the caller's thread, before ``submit``
+returns.  Around that job the runtime owns:
 
 * **lane occupancy** — the tier's only model of virtual lane time: every
   admitted batch, in every mode, is charged once, at admission, from
@@ -13,39 +14,25 @@ job the runtime owns:
 * **admission to the lane** — an ``"async"`` lane holds at most
   ``queue_capacity`` unfinished micro-batches; a batch arriving to a full
   (or crashed) lane is rejected (counted per batch and per result)
-  instead of queueing without bound.  A ``"sync"`` lane, and any batch
-  submitted ``inline``, runs now on the caller's thread and never sheds
-  (its queue depth reads 0).  On the virtual executor an async batch
-  executes inline too, but counts as queued until its modeled ``end``, so
-  depth is a real autoscaler signal; on the thread executor it is literal;
-* **telemetry** — queue depth at enqueue, per-batch service time,
-  executed/rejected counters — all exported through the gateway's
-  :class:`~repro.server.telemetry.MetricsRegistry`.  Wall-clock service
-  measurements (threads executor only — the virtual executor's service
-  times are the cost model's own output, and feeding them back would be
-  circular) also flow into a
-  :class:`~repro.runtime.telemetry.ServiceTimeEstimator` so the cost
-  model can be re-fitted from observation.
+  instead of queueing without bound.  An admitted async batch executes
+  at once but counts as queued until its modeled ``end``, so depth is a
+  real autoscaler signal.  A ``"sync"`` lane, and any batch submitted
+  ``inline``, never sheds (a sync lane's queue depth reads 0);
+* **telemetry** — queue depth at enqueue, per-batch virtual service
+  time, executed/rejected counters — all exported through the gateway's
+  :class:`~repro.server.telemetry.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
-import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.runtime.executors import (
-    BatchTicket,
-    ThreadLaneExecutor,
-    VirtualLaneExecutor,
-)
 from repro.runtime.spec import RuntimeSpec
-from repro.runtime.telemetry import AggregationCostModel, ServiceTimeEstimator
+from repro.runtime.telemetry import AggregationCostModel
 
 if TYPE_CHECKING:
     from repro.observability import EventJournal
@@ -66,7 +53,7 @@ class _LaneState:
 
     ``load_ewma`` is the service accrued recently, decayed with a
     ``_LOAD_TAU_S`` time constant from ``load_at``.  ``finishes`` holds
-    the modeled completion time of every unfinished batch of a virtual
+    the modeled completion time of every unfinished batch of an
     async lane, oldest first (its queue).  ``rejects`` remembers the most
     recent capacity sheds as ``(time, batch_size)`` pairs — a bounded
     trace the router reads as a per-shard "recently overloaded" pressure
@@ -108,7 +95,7 @@ class _LaneState:
 
 
 class ShardRuntime:
-    """Bounded queues + serialized worker lanes for every shard."""
+    """Bounded virtual queues + serialized lanes for every shard."""
 
     def __init__(
         self,
@@ -122,32 +109,13 @@ class ShardRuntime:
         # The gateway's event journal: capacity sheds are decisions
         # worth attributing, not just counting.
         self._journal = journal
-        # The estimator's running sums are fed from lane threads (see
-        # ``timed_job``) and read on the caller's thread, so every touch
-        # happens under the telemetry lock.
-        self.estimator = ServiceTimeEstimator()  # guarded-by: _telemetry_lock
-        # The one place sync and async delivery differ: a sync lane runs
-        # the job inline and bypasses admission and the queue signals.
-        self._inline = spec.mode == "sync"
-        self._virtual = self._inline or spec.executor == "virtual"
-        # Runs inline batches on every executor (all of a virtual lane's).
-        self._inline_executor = VirtualLaneExecutor()
-        self.executor = (
-            self._inline_executor
-            if self._virtual
-            else ThreadLaneExecutor(workers=spec.workers)
-        )
-        # Lane state is touched only on the caller's thread: batches are
-        # charged at admission, never from a lane job.
+        # The one place sync and async delivery differ: a sync lane
+        # bypasses admission and the queue signals.
+        self._sync = spec.mode == "sync"
         self._lanes: dict[str, _LaneState] = {}
         # Occupancy of lanes dropped by drop_lane, folded into one.
         self._retired = _LaneState()
         self._dead_lanes: set[str] = set()
-        # Guards telemetry shared across lane threads (counters, summary
-        # deques, the estimator's running sums).  Uncontended in virtual
-        # mode; in threads mode it serializes only the cheap bookkeeping,
-        # never the decode/fold work.
-        self._telemetry_lock = threading.Lock()
         self._batches = metrics.counter(
             "runtime.batches", "micro-batches executed by worker lanes"
         )
@@ -161,7 +129,7 @@ class ShardRuntime:
             "runtime.queue_depth", "lane queue depth observed at enqueue"
         )
         self._service_summary = metrics.summary(
-            "runtime.service_s", "per-batch service time (virtual or wall)"
+            "runtime.service_s", "per-batch service time (virtual)"
         )
 
     # ------------------------------------------------------------------
@@ -179,7 +147,6 @@ class ShardRuntime:
         if lane is not None:
             self._retired.absorb(lane)
         self._dead_lanes.discard(shard_id)
-        self.executor.drop_lane(shard_id)
 
     # ------------------------------------------------------------------
     # Lane liveness (crash injection + failure detection)
@@ -196,15 +163,9 @@ class ShardRuntime:
         lane = self._lanes.get(shard_id)
         if lane is not None:
             lane.finishes.clear()
-        self.executor.drop_lane(shard_id)
 
     def lane_alive(self, shard_id: str) -> bool:
         return shard_id not in self._dead_lanes
-
-    @property
-    def threaded(self) -> bool:
-        """Whether jobs run on pool threads (else inline on the caller's)."""
-        return not self._virtual
 
     # ------------------------------------------------------------------
     # Occupancy and queue signals
@@ -224,10 +185,8 @@ class ShardRuntime:
         lane = self._lanes.get(shard_id)
         if lane is None:
             return 0
-        if self._virtual:
-            self._prune(lane, now)
-            return len(lane.finishes)
-        return self.executor.pending(shard_id)
+        self._prune(lane, now)
+        return len(lane.finishes)
 
     def max_queue_depth(self, now: float) -> int:
         if not self._lanes:
@@ -276,23 +235,17 @@ class ShardRuntime:
         """Seconds of service the lane shed in the trailing window.
 
         Each capacity rejection is priced at the cost model's service
-        time (the estimator's observed mean without one), so a lane that
-        recently turned work away scores as loaded even after its queue
-        drained — the router's "recent shed rate" signal.
+        time (0.0 without one), so a lane that recently turned work away
+        scores as loaded even after its queue drained — the router's
+        "recent shed rate" signal.
         """
         lane = self._lanes.get(shard_id)
-        if lane is None or not lane.rejects:
+        if lane is None or self.cost_model is None:
             return 0.0
         total = 0.0
-        with self._telemetry_lock:
-            fallback_service_s = self.estimator.mean_service_s()
         for shed_time, batch_size in lane.rejects:
-            if now - shed_time > window_s:
-                continue
-            if self.cost_model is not None:
+            if now - shed_time <= window_s:
                 total += self.cost_model.service_time(batch_size)
-            else:
-                total += fallback_service_s
         return total
 
     # ------------------------------------------------------------------
@@ -306,20 +259,20 @@ class ShardRuntime:
         job: Callable[[float, float], object],
         now: float,
         inline: bool = False,
-    ) -> BatchTicket | None:
-        """Queue one micro-batch on its shard's lane; None when shed.
+    ) -> object | None:
+        """Run one micro-batch on its shard's lane; None when shed.
 
-        ``job`` is called with the batch's lane ``(start, end)``.  A full
-        or crashed async lane rejects the whole batch — the caller already
-        removed it from the micro-batcher, so rejection here is a
-        deliberate, counted drop (queue-pressure load shedding), mirrored
-        to the autoscaler through the rejection counters.  A sync lane
-        never sheds, and neither does an ``inline`` batch: the job runs
-        now, on the caller's thread.
+        ``job`` is called on the caller's thread with the batch's lane
+        ``(start, end)``; its value is returned and its exception
+        propagates.  A full or crashed async lane rejects the whole batch
+        — the caller already removed it from the micro-batcher, so
+        rejection here is a deliberate, counted drop (queue-pressure load
+        shedding), mirrored to the autoscaler through the rejection
+        counters.  A sync lane never sheds, and neither does an
+        ``inline`` batch.
         """
         lane = self._lanes[shard_id]  # every shard's lane opens at add_lane
-        inline = inline or self._inline
-        if not inline:
+        if not (inline or self._sync):
             if shard_id in self._dead_lanes:
                 # A dead lane sheds everything: the batch is counted like
                 # a capacity drop so loss accounting stays honest during
@@ -343,50 +296,12 @@ class ShardRuntime:
             else 0.0
         )
         start, end = lane.charge(batch_size, service, now)
-        ticket = BatchTicket()
-        if inline or self._virtual:
-            self._batches.increment()
-            if self._virtual and not self._inline:
-                # Async virtual lane: the batch stays queued until its
-                # modeled end.  Modeled service time is telemetry, but
-                # NOT estimator food: feeding the cost model's own output
-                # back would make the "fitted" model a circular echo of
-                # the assumed one.
-                lane.finishes.append(end)
-                self._service_summary.observe(service)
-            self._inline_executor.submit(
-                shard_id, functools.partial(job, start, end), ticket
-            )
-            return ticket
-
-        def timed_job() -> object:
-            started = time.perf_counter()
-            try:
-                return job(start, end)
-            finally:
-                elapsed = time.perf_counter() - started
-                with self._telemetry_lock:
-                    self._batches.increment()
-                    self._service_summary.observe(elapsed)
-                    self.estimator.observe(batch_size, elapsed)
-
-        self.executor.submit(shard_id, timed_job, ticket)
-        return ticket
-
-    # ------------------------------------------------------------------
-    # Quiescence
-    # ------------------------------------------------------------------
-    def drain(self, timeout: float | None = None) -> None:
-        """Block until every lane is idle (threaded); inline mode is a no-op.
-
-        Membership changes and shard synchronization mutate shard models,
-        so the gateway quiesces the runtime first — a lane job running
-        concurrently with a parameter broadcast would race it.
-        """
-        self.executor.drain(timeout)
-
-    def shutdown(self) -> None:
-        self.executor.shutdown()
+        self._batches.increment()
+        if not self._sync:
+            # Async lane: the batch stays queued until its modeled end.
+            lane.finishes.append(end)
+            self._service_summary.observe(service)
+        return job(start, end)
 
     @property
     def rejected_results(self) -> int:

@@ -20,24 +20,21 @@ if TYPE_CHECKING:  # import-time cycle: gateway imports repro.runtime
 __all__ = ["RuntimeSpec"]
 
 MODES = ("sync", "async")
-EXECUTORS = ("virtual", "threads")
 
 
 @dataclass(frozen=True)
 class RuntimeSpec:
     """How flushed micro-batches execute, and whether the tier self-sizes.
 
-    Every flushed micro-batch goes through its shard's lane; ``mode``
-    picks the lane's contract.  ``"sync"`` (what a gateway built without
-    a spec gets) runs the batch inline on the caller's thread, never
-    sheds and reports no queue signal — ``executor``, ``workers`` and
-    ``queue_capacity`` do not apply.  Either way the lane charges every
-    batch its virtual service time.  ``"async"`` bounds the lane and
-    models (or measures) its queue; ``executor`` then picks the
-    substrate: ``"virtual"`` executes inline on the discrete-event clock
-    — deterministic, bit-identical to a sync lane with ample queue
-    capacity — while ``"threads"`` runs lanes on a shared
-    ``ThreadPoolExecutor`` of ``workers`` threads for wall-clock serving.
+    Every flushed micro-batch goes through its shard's lane and runs
+    inline on the caller's thread; ``mode`` picks the lane's contract.
+    ``"sync"`` (what a gateway built without a spec gets) never sheds and
+    reports no queue signal — ``queue_capacity`` does not apply.
+    ``"async"`` models a bounded queue on the virtual clock: a batch
+    counts as queued until its modeled service end, so queue depth is a
+    real autoscaler signal.  Either way the lane charges every batch its
+    virtual service time, and with ample queue capacity the two modes
+    apply bit-identical updates.
 
     ``queue_capacity`` bounds each shard lane's pending micro-batches;
     a batch arriving to a full lane is rejected outright (its results are
@@ -48,12 +45,10 @@ class RuntimeSpec:
     (:class:`~repro.gateway.scheduling.RoutingSpec`); None keeps the
     consistent-hash default.  Routing is orthogonal to delivery —
     ``RuntimeSpec(mode="sync", routing=...)`` configures placement while
-    batches still apply on the caller's thread.
+    batches still never shed.
     """
 
     mode: str = "async"
-    executor: str = "virtual"
-    workers: int = 2
     queue_capacity: int = 64
     autoscale: ElasticityPolicy | None = None
     routing: RoutingSpec | None = None
@@ -61,12 +56,6 @@ class RuntimeSpec:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
         if self.queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
         # Duck-checked (a module-level RoutingSpec import would cycle

@@ -7,11 +7,11 @@ minimal metrics registry the rest of the repo reports into — enough to
 drive the EXPERIMENTS.md summaries and the CLI status output without any
 external monitoring dependency.
 
-Every metric is thread-safe: the asynchronous runtime's worker lanes
-(:class:`~repro.runtime.executors.ThreadLaneExecutor`) increment counters
-and observe summaries concurrently with the gateway caller's thread, so
-each metric guards its mutable state with its own lock.  The locks protect
-only cheap bookkeeping — never the decode/fold work around it.
+Every metric guards its mutable state with its own lock.  The serving
+tier updates metrics from one thread (runtime lane jobs run inline on the
+gateway caller's), so the locks are uncontended there; they keep a
+registry safe to share with other threads, and they protect only cheap
+bookkeeping — never the decode/fold work around it.
 
 For machine-readable consumption (Prometheus text exposition, JSON
 snapshots) see :mod:`repro.observability.exporters`, which renders the

@@ -501,14 +501,14 @@ class TestShardRetirement:
             3,
             lambda i: _fedavg_shard(),
             GatewayConfig(batch_size=4, batch_deadline_s=1e9, sync_every_s=1e9),
-            runtime=RuntimeSpec(mode="async", executor="virtual"),
+            runtime=RuntimeSpec(mode="async"),
         )
         rng = np.random.default_rng(13)
         for worker in range(24):
             gateway.handle_result(_result(worker, rng.normal(size=DIM)), now=0.0)
         pending_total = gateway.batcher.total_pending()
         removed = gateway.scale_down(now=1.0)
-        # The retired lane is gone everywhere: batcher, runtime, locks.
+        # The retired lane is gone everywhere: batcher and runtime.
         assert gateway.batcher.pending(removed) == 0
         assert gateway.runtime.queue_depth(removed, now=2.0) == 0
         assert removed not in gateway.runtime._lanes
@@ -532,14 +532,6 @@ class TestLaneLifecycle:
         assert "s" not in batcher._lanes
         assert batcher.flush_encoded("s") == []
 
-    def test_drop_discards_pending_entries(self):
-        batcher = MicroBatcher(VectorCodec(precision="f64"), max_batch=8)
-        batcher.add_encoded("s", _result(0, np.ones(DIM)), now=0.0)
-        batcher.drop("s")
-        assert batcher.pending("s") == 0
-        assert batcher.flush_encoded("s") == []
-        batcher.drop("s")  # idempotent on unknown shards
-
     def test_due_ignores_flushed_and_dropped_lanes(self):
         batcher = MicroBatcher(
             VectorCodec(precision="f64"), max_batch=100, max_delay_s=1.0
@@ -547,7 +539,7 @@ class TestLaneLifecycle:
         batcher.add_encoded("a", _result(0, np.ones(DIM)), now=0.0)
         batcher.add_encoded("b", _result(1, np.ones(DIM)), now=0.0)
         batcher.flush_encoded("a")
-        batcher.drop("b")
+        batcher.flush_encoded("b")
         assert batcher.due(now=100.0) == []
 
     def test_remove_shard_leaves_no_lane_behind(self):
@@ -661,6 +653,8 @@ class TestStoredBlockIngest:
         for worker in workers[:half]:
             gateway.handle_result(_result(worker, gradients[worker]), now=0.0)
         gateway.crash_shard(victim, now=1.0)
+        assert gateway.batcher.pending(victim) == 0
+        assert victim not in gateway.batcher._lanes
         for worker in workers[half:]:
             gateway.handle_result(_result(worker, gradients[worker]), now=2.0)
         assert len(gateway.crashes[victim].parked) == len(workers)
@@ -696,7 +690,6 @@ class TestEverySubsystemAttached:
             cost_model=AggregationCostModel(per_flush_s=0.05, per_result_s=0.02),
             runtime=RuntimeSpec(
                 mode="async",
-                executor="virtual",
                 autoscale=ElasticityPolicy(
                     min_shards=2, max_shards=4, window_s=5.0, cooldown_s=5.0,
                     scale_up_occupancy=0.1, scale_down_occupancy=0.05,

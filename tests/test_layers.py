@@ -103,8 +103,43 @@ class TestConv2D:
                 expected[i, j] = (x[0, 0, i : i + 2, j : j + 2] * w).sum() + b
         assert np.allclose(out[0, 0], expected)
 
+    def test_output_is_contiguous_nchw(self):
+        layer = Conv2D(2, 3, kernel_size=3, rng=np.random.default_rng(9))
+        out = layer.forward(np.random.default_rng(10).normal(size=(2, 2, 6, 6)))
+        assert out.shape == (2, 3, 4, 4)
+        assert out.flags.c_contiguous
+
+
+def _reference_unfold(x, k, stride, pad):
+    """im2col by definition: one row per (image, out_y, out_x) window,
+    its (channel, i, j) pixels in C order."""
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    n, _, h, w = x.shape
+    out_h, out_w = (h - k) // stride + 1, (w - k) // stride + 1
+    rows = [
+        x[b, :, y * stride : y * stride + k, z * stride : z * stride + k].reshape(-1)
+        for b in range(n)
+        for y in range(out_h)
+        for z in range(out_w)
+    ]
+    return np.array(rows), out_h, out_w
+
 
 class TestIm2Col:
+    @pytest.mark.parametrize(
+        "n, c, k, stride, pad",
+        [(1, 1, 5, 1, 0), (3, 2, 3, 2, 1), (4, 3, 2, 2, 0), (1, 4, 3, 1, 2)],
+    )
+    def test_matches_reference_unfold_and_layout(self, n, c, k, stride, pad):
+        x = np.random.default_rng(8).normal(size=(n, c, 9, 7))
+        cols, out_h, out_w = im2col(x, k, k, stride, pad)
+        expected, expected_h, expected_w = _reference_unfold(x, k, stride, pad)
+        assert (out_h, out_w) == (expected_h, expected_w)
+        assert np.array_equal(cols, expected)
+        # GEMM rounds by memory layout: a single image's patches are
+        # column-major, a batch's row-major.
+        assert cols.flags.f_contiguous if n == 1 else cols.flags.c_contiguous
+
     def test_roundtrip_counts_overlaps(self):
         x = np.random.default_rng(7).normal(size=(1, 1, 5, 5))
         cols, oh, ow = im2col(x, 3, 3, stride=1, pad=0)

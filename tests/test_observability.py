@@ -1,9 +1,9 @@
 """Tests for end-to-end upload tracing, the event journal and exporters.
 
 Covers: deterministic sampling (seeded, PYTHONHASHSEED-independent),
-trace propagation through the sync gateway, the async virtual-lane
-runtime and the threaded runtime (same upload id in every span, spans
-summing to the end-to-end latency), bit-stable virtual traces, the
+trace propagation through the sync gateway and the async virtual-lane
+runtime (same upload id in every span, spans summing to the end-to-end
+latency), bit-stable virtual traces, the
 journal's typed records / ring semantics / JSONL round trip, and the
 Prometheus + JSON registry exporters.
 """
@@ -133,8 +133,6 @@ class TestSampling:
             ObservabilitySpec(sample_rate=1.5)
         with pytest.raises(ValueError):
             ObservabilitySpec(max_traces=0)
-        with pytest.raises(ValueError):
-            UploadTracer(ObservabilitySpec(), clock="lamport")
 
 
 # ----------------------------------------------------------------------
@@ -216,69 +214,27 @@ class TestAsyncTraces:
         # The determinism contract: single-worker async on the virtual
         # clock is bit-identical to the sync gateway — including traces.
         sync_gw = _gateway()
-        async_gw = _gateway(
-            runtime=RuntimeSpec(mode="async", executor="virtual", workers=1)
-        )
+        async_gw = _gateway(runtime=RuntimeSpec(mode="async"))
         _drive(sync_gw, uploads=40)
         _drive(async_gw, uploads=40)
-        try:
-            sync_traces = sync_gw.tracer.collector.traces
-            async_traces = async_gw.tracer.collector.traces
-            assert len(sync_traces) == len(async_traces) == 40
-            for a, b in zip(sync_traces, async_traces):
-                assert a.upload_id == b.upload_id
-                assert a.spans == b.spans
-                assert a.total_s == b.total_s
-        finally:
-            async_gw.runtime.shutdown()
+        sync_traces = sync_gw.tracer.collector.traces
+        async_traces = async_gw.tracer.collector.traces
+        assert len(sync_traces) == len(async_traces) == 40
+        for a, b in zip(sync_traces, async_traces):
+            assert a.upload_id == b.upload_id
+            assert a.spans == b.spans
+            assert a.total_s == b.total_s
 
     def test_async_virtual_decode_phase_recorded(self):
-        gateway = _gateway(
-            runtime=RuntimeSpec(mode="async", executor="virtual", workers=1)
-        )
+        gateway = _gateway(runtime=RuntimeSpec(mode="async"))
         _drive(gateway, uploads=8)
-        try:
-            phases = {
-                name
-                for trace in gateway.tracer.collector.traces
-                for name, _ in trace.cpu_phases
-            }
-            assert "decode" in phases
-            assert "fold" in phases
-        finally:
-            gateway.runtime.shutdown()
-
-    def test_threaded_traces_sum_and_cover_all_uploads(self):
-        gateway = _gateway(
-            runtime=RuntimeSpec(mode="async", executor="threads", workers=2),
-            shards=2,
-        )
-        rng = np.random.default_rng(5)
-        try:
-            for i in range(60):
-                gateway.handle_result(
-                    _result(i % 12, rng.normal(size=DIM)), now=i * 0.1
-                )
-            gateway.finalize(now=30.0)
-            tracer = gateway.tracer
-            assert tracer.uploads_seen == 60
-            # Every sampled upload either finished or was shed by a lane.
-            assert tracer.collector.finished + tracer.dropped == 60
-            traces = tracer.collector.traces
-            assert traces, "threaded run produced no traces"
-            for trace in traces:
-                assert trace.clock == "wall"
-                assert trace.total_s >= 0.0
-                span_sum = sum(span.duration for span in trace.spans)
-                assert span_sum == pytest.approx(trace.total_s, rel=1e-9)
-                names = [s.name for s in trace.spans]
-                assert names[:2] == ["queue.batcher", "queue.lane"]
-                assert "decode" in names
-                # Wall mode measures phases as spans; nothing rides as
-                # informational cpu_phases.
-                assert trace.cpu_phases == ()
-        finally:
-            gateway.runtime.shutdown()
+        phases = {
+            name
+            for trace in gateway.tracer.collector.traces
+            for name, _ in trace.cpu_phases
+        }
+        assert "decode" in phases
+        assert "fold" in phases
 
 
 # ----------------------------------------------------------------------

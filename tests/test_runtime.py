@@ -2,13 +2,15 @@
 
 Covers: the determinism contract (single-worker async on the virtual
 clock is bit-identical to the synchronous gateway across all four
-algorithm presets), bounded-queue shedding, the threaded executor (smoke:
-correct totals, no deadlock), the elasticity controller's scale-up/-down
-decisions and admission retuning, ``TokenBucket.set_rate``, the windowed
-``AppliedLog`` with reservoir tail, and the service-time estimator.
+algorithm presets), bounded-queue shedding, lane-job errors surfacing on
+the caller's thread, the elasticity controller's scale-up/-down
+decisions and admission retuning, ``TokenBucket.set_rate``, and the
+windowed ``AppliedLog`` with reservoir tail.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ from repro.core.adasgd import AppliedLog, AppliedUpdate
 from repro.devices.device import DeviceFeatures
 from repro.durability import DurabilitySpec
 from repro.gateway import Gateway, GatewayConfig, TokenBucket
-from repro.runtime import AggregationCostModel, ServiceTimeEstimator
+from repro.runtime import AggregationCostModel
 from repro.server.protocol import TaskAssignment, TaskRequest, TaskResult
+from repro.server.stages import ResultStage
 
 
 def _features() -> DeviceFeatures:
@@ -82,7 +85,7 @@ def test_async_virtual_matches_sync_bit_for_bit(algorithm):
     assert default.runtime.spec.mode == "sync"
     for other in (
         drive(RuntimeSpec(mode="sync")),
-        drive(RuntimeSpec(mode="async", executor="virtual", workers=1)),
+        drive(RuntimeSpec(mode="async")),
     ):
         assert default.clock == other.clock
         assert default.results_applied == other.results_applied
@@ -112,7 +115,7 @@ def test_full_lane_rejects_batches():
         _spec("fedavg"),
         GatewayConfig(batch_size=4, batch_deadline_s=1e9, sync_every_s=1e9),
         cost_model=AggregationCostModel(per_flush_s=10.0, per_result_s=0.0),
-        runtime=RuntimeSpec(mode="async", executor="virtual", queue_capacity=2),
+        runtime=RuntimeSpec(mode="async", queue_capacity=2),
     )
     rng = np.random.default_rng(0)
     # 6 batches all arriving at t=0: service is 10s each, so the lane
@@ -139,7 +142,7 @@ def test_sync_lane_never_sheds_and_has_no_queue_signal():
             _spec("fedavg"),
             GatewayConfig(batch_size=4, batch_deadline_s=1e9, sync_every_s=1e9),
             cost_model=AggregationCostModel(per_flush_s=10.0, per_result_s=0.0),
-            runtime=RuntimeSpec(mode=mode, executor="virtual", queue_capacity=2),
+            runtime=RuntimeSpec(mode=mode, queue_capacity=2),
         )
         rng = np.random.default_rng(0)
         # 6 batches at t=0 against 10s of service each: a virtual backlog
@@ -162,7 +165,7 @@ def test_sync_lane_never_sheds_and_has_no_queue_signal():
 
 @pytest.mark.parametrize(
     "runtime",
-    [RuntimeSpec(mode="sync"), RuntimeSpec(mode="async", executor="virtual")],
+    [RuntimeSpec(mode="sync"), RuntimeSpec(mode="async")],
     ids=["sync", "async-virtual"],
 )
 def test_every_delivered_batch_goes_through_a_runtime_lane(runtime, tmp_path):
@@ -201,7 +204,7 @@ def test_queue_depth_decays_with_virtual_time():
         _spec("fedavg"),
         GatewayConfig(batch_size=2, batch_deadline_s=1e9, sync_every_s=1e9),
         cost_model=AggregationCostModel(per_flush_s=1.0, per_result_s=0.0),
-        runtime=RuntimeSpec(mode="async", executor="virtual", queue_capacity=64),
+        runtime=RuntimeSpec(mode="async", queue_capacity=64),
     )
     rng = np.random.default_rng(0)
     for i in range(8):
@@ -217,65 +220,57 @@ def test_queue_depth_decays_with_virtual_time():
 
 
 # ----------------------------------------------------------------------
-# Threaded executor: off-thread execution, drain, no deadlock
+# Lane jobs run on the caller's thread: their errors reach the caller
 # ----------------------------------------------------------------------
-def test_threaded_runtime_smoke():
-    gateway = Gateway.from_spec(
-        3,
-        _spec("fedavg"),
-        GatewayConfig(batch_size=4, batch_deadline_s=5.0, sync_every_s=60.0),
-        runtime=RuntimeSpec(mode="async", executor="threads", workers=3),
+class _FailingStage(ResultStage):
+    name = "failing"
+
+    def __init__(self) -> None:
+        self.armed = True
+        self.error = RuntimeError("stage on_batch failed")
+        self.threads: set[int] = set()
+
+    def on_batch(self, updates, server):
+        self.threads.add(threading.get_ident())
+        if self.armed:
+            raise self.error
+        return updates
+
+
+@pytest.mark.parametrize(
+    "runtime", [RuntimeSpec(mode="sync"), RuntimeSpec(mode="async")], ids=["sync", "async"]
+)
+def test_lane_job_errors_surface_on_the_callers_thread(runtime):
+    stage = _FailingStage()
+    spec = (
+        FleetBuilder(np.zeros(32), num_labels=10)
+        .algorithm("fedavg", learning_rate=0.05)
+        .result_stage(stage)
+        .spec()
     )
-    rng = np.random.default_rng(1)
-    try:
-        for i in range(120):
-            # Interleave the request path: it runs on the caller's thread
-            # concurrently with lane jobs (per-shard guard territory).
-            request = TaskRequest(
-                worker_id=i % 16,
-                device_model="Galaxy S7",
-                features=_features(),
-                label_counts=np.ones(10),
-            )
-            response = gateway.handle_request(request, now=i * 0.1)
-            pull_step = response.pull_step if isinstance(
-                response, TaskAssignment
-            ) else 0
-            gateway.handle_result(
-                _result(i % 16, rng.normal(size=32), pull_step), now=i * 0.1
-            )
-        gateway.finalize(now=20.0)
-        assert gateway.results_applied == 120
-        assert gateway.clock > 0
-        assert gateway.runtime.estimator.count > 0
-    finally:
-        gateway.runtime.shutdown()
+    gateway = Gateway.from_spec(
+        1,
+        spec,
+        GatewayConfig(batch_size=4, batch_deadline_s=1e9, sync_every_s=1e9),
+        cost_model=AggregationCostModel(per_flush_s=0.5, per_result_s=0.01),
+        runtime=runtime,
+    )
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        assert gateway.handle_result(_result(i, rng.normal(size=32)), now=0.0) is False
+    # The fourth result fills the micro-batch: its size-triggered flush
+    # runs the lane job, whose stage error propagates out of this call.
+    with pytest.raises(RuntimeError) as info:
+        gateway.handle_result(_result(3, rng.normal(size=32)), now=0.0)
+    assert info.value is stage.error
+    assert stage.threads == {threading.get_ident()}
+    assert gateway.results_applied == 0
 
-
-def test_threaded_runtime_surfaces_job_errors_on_drain():
-    from repro.runtime.executors import BatchTicket, ThreadLaneExecutor
-
-    executor = ThreadLaneExecutor(workers=2)
-
-    def boom():
-        raise RuntimeError("lane job failed")
-
-    ticket = BatchTicket()
-    executor.submit("lane", boom, ticket)
-    with pytest.raises(RuntimeError, match="lane job failed"):
-        executor.drain(timeout=30.0)
-    with pytest.raises(RuntimeError, match="lane job failed"):
-        ticket.result(timeout=1.0)
-    # Errors are consumed by the drain that reported them: a past failure
-    # must not poison every later drain of a healthy executor.
-    executor.drain(timeout=30.0)
-    # Multiple failures surface together, none silently dropped.
-    executor.submit("lane-a", boom, BatchTicket())
-    executor.submit("lane-b", boom, BatchTicket())
-    with pytest.raises(ExceptionGroup) as info:
-        executor.drain(timeout=30.0)
-    assert len(info.value.exceptions) == 2
-    executor.shutdown()
+    stage.armed = False
+    for i in range(4, 8):
+        updated = gateway.handle_result(_result(i, rng.normal(size=32)), now=1.0)
+    assert updated is True
+    assert gateway.results_applied == 4
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +287,7 @@ def _elastic_gateway(policy: ElasticityPolicy, admission_rate: float | None):
             admission_rate_per_s=admission_rate,
         ),
         cost_model=AggregationCostModel(per_flush_s=0.2, per_result_s=0.01),
-        runtime=RuntimeSpec(mode="async", executor="virtual", autoscale=policy),
+        runtime=RuntimeSpec(mode="async", autoscale=policy),
     )
 
 
@@ -374,7 +369,7 @@ def test_manual_scale_up_and_down_roundtrip():
         2,
         _spec("adasgd"),
         GatewayConfig(batch_size=2, batch_deadline_s=1.0, sync_every_s=1e9),
-        runtime=RuntimeSpec(mode="async", executor="virtual"),
+        runtime=RuntimeSpec(mode="async"),
     )
     rng = np.random.default_rng(5)
     for i in range(12):
@@ -552,48 +547,11 @@ def test_server_applied_log_window_plumbs_through():
 
 
 # ----------------------------------------------------------------------
-# Service-time estimator
-# ----------------------------------------------------------------------
-def test_service_time_estimator_recovers_affine_cost():
-    estimator = ServiceTimeEstimator()
-    model = AggregationCostModel(per_flush_s=0.05, per_result_s=0.002)
-    for size in (1, 2, 4, 8, 16, 32):
-        for _ in range(3):
-            estimator.observe(size, model.service_time(size))
-    per_flush, per_result = estimator.coefficients()
-    assert per_flush == pytest.approx(0.05, rel=1e-9)
-    assert per_result == pytest.approx(0.002, rel=1e-9)
-    fitted = estimator.fitted_cost_model()
-    assert fitted.service_time(10) == pytest.approx(model.service_time(10))
-
-
-def test_service_time_estimator_degenerate_cases():
-    estimator = ServiceTimeEstimator()
-    assert estimator.coefficients() is None
-    assert estimator.fitted_cost_model() is None
-    assert estimator.mean_service_s() == 0.0
-    estimator.observe(4, 0.1)
-    estimator.observe(4, 0.3)
-    per_flush, per_result = estimator.coefficients()
-    assert per_flush == pytest.approx(0.2)
-    assert per_result == 0.0
-    assert estimator.mean_service_s() == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        estimator.observe(0, 0.1)
-    with pytest.raises(ValueError):
-        estimator.observe(1, -0.1)
-
-
-# ----------------------------------------------------------------------
 # RuntimeSpec validation
 # ----------------------------------------------------------------------
 def test_runtime_spec_validation():
     with pytest.raises(ValueError):
         RuntimeSpec(mode="turbo")
-    with pytest.raises(ValueError):
-        RuntimeSpec(executor="fibers")
-    with pytest.raises(ValueError):
-        RuntimeSpec(workers=0)
     with pytest.raises(ValueError):
         RuntimeSpec(queue_capacity=0)
     with pytest.raises(ValueError):
@@ -606,7 +564,7 @@ def test_builder_carries_runtime_spec_to_gateway():
     spec = (
         FleetBuilder(np.zeros(16))
         .algorithm("fedavg", learning_rate=0.1)
-        .runtime(mode="async", executor="virtual", queue_capacity=8)
+        .runtime(mode="async", queue_capacity=8)
         .spec()
     )
     assert spec.runtime is not None and spec.runtime.queue_capacity == 8

@@ -139,7 +139,7 @@ class TestRoutingSpec:
         spec = (
             FleetBuilder(np.zeros(DIM))
             .algorithm("fedavg")
-            .runtime(mode="async", executor="virtual")
+            .runtime(mode="async")
             .routing(policy="deadline")
             .spec()
         )

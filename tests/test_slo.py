@@ -311,7 +311,7 @@ class TestGatewayIntegration:
             scale_up_on_alert=True,
         )
         runtime = RuntimeSpec(
-            mode="async", executor="virtual", queue_capacity=64,
+            mode="async", queue_capacity=64,
             autoscale=policy,
         )
         gateway = _gateway(runtime=runtime)
@@ -334,7 +334,7 @@ class TestGatewayIntegration:
             scale_up_on_alert=False,
         )
         runtime = RuntimeSpec(
-            mode="async", executor="virtual", queue_capacity=64,
+            mode="async", queue_capacity=64,
             autoscale=policy,
         )
         gateway = _gateway(runtime=runtime)
