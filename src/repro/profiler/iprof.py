@@ -14,6 +14,7 @@ Passive-Aggressive regressor bootstrapped from the cold-start weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,7 @@ class SlopePredictor:
             return max(self._floor(), personal.predict(x)), True
         return max(self._floor(), self.cold_start.predict(x)), False
 
+    # hot-path
     def observe(self, model_name: str, x: np.ndarray, slope: float) -> None:
         """Fold one observed (features, slope) pair into both models.
 
@@ -140,6 +142,9 @@ class IProf:
         )
         self.personalize = personalize
         self.requests_served = 0
+        # Measurement stacks skipped by ``report`` for a non-finite slope or
+        # feature vector.
+        self.rejected_reports = 0
 
     # ------------------------------------------------------------------
     # Offline pre-training (cold-start bootstrap, §3.3)
@@ -194,6 +199,7 @@ class IProf:
     # ------------------------------------------------------------------
     # Feedback path
     # ------------------------------------------------------------------
+    # hot-path
     def report(
         self,
         model_name: str,
@@ -202,25 +208,27 @@ class IProf:
         computation_time_s: float | None = None,
         energy_percent: float | None = None,
     ) -> None:
-        """Update the predictors with a completed task's measurements."""
+        """Update the predictors with a completed task's measurements.
+
+        A stack whose slope or feature vector is non-finite skips the
+        update and counts it in ``rejected_reports``: the cold-start model
+        keeps sums, not samples, so one NaN folded in would poison its θ
+        (and every unseen device model's recommendation) for good.
+        """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         features = np.asarray(features, dtype=np.float64)
-        if not self.personalize:
-            if computation_time_s is not None:
-                self.time_predictor.cold_start.append(
-                    features, computation_time_s / batch_size
-                )
-            if energy_percent is not None:
-                self.energy_predictor.cold_start.append(
-                    features, energy_percent / batch_size
-                )
-            return
-        if computation_time_s is not None:
-            self.time_predictor.observe(
-                model_name, features, computation_time_s / batch_size
-            )
-        if energy_percent is not None:
-            self.energy_predictor.observe(
-                model_name, features, energy_percent / batch_size
-            )
+        finite_features = bool(np.isfinite(features).all())
+        for stack, measured in (
+            (self.time_predictor, computation_time_s),
+            (self.energy_predictor, energy_percent),
+        ):
+            if measured is None:
+                continue
+            slope = measured / batch_size
+            if not (finite_features and math.isfinite(slope)):
+                self.rejected_reports += 1
+            elif self.personalize:
+                stack.observe(model_name, features, slope)
+            else:
+                stack.cold_start.append(features, slope)

@@ -50,6 +50,7 @@ class PassiveAggressiveRegressor:
             )
         return float(x @ self.theta)
 
+    # hot-path
     def update(self, x: np.ndarray, alpha: float) -> float:
         """One PA step on an observed (features, slope) pair.
 

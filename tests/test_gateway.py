@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core import make_fedavg
 from repro.core.adasgd import GradientUpdate
+from repro.devices import SimulatedDevice, get_spec
 from repro.devices.device import DeviceFeatures
 from repro.durability import DurabilitySpec
 from repro.gateway import (
@@ -21,7 +23,7 @@ from repro.gateway import (
     TokenBucket,
 )
 from repro.observability import ObservabilitySpec, SLOSpec
-from repro.profiler import IProf, SLO
+from repro.profiler import IProf, SLO, collect_offline_dataset
 from repro.runtime import AggregationCostModel, ElasticityPolicy, RuntimeSpec
 from repro.server import FleetServer, VectorCodec
 from repro.server.protocol import (
@@ -399,6 +401,61 @@ class TestMembership:
         gateway = _gateway(1, batch_size=1)
         with pytest.raises(ValueError):
             gateway.remove_shard("shard-0")
+
+
+class TestProfilerFeedback:
+    def test_nan_measurement_is_applied_but_not_profiled(self):
+        """A served upload whose computation time is NaN still folds its
+        gradient, but I-Prof skips it: the cold start stays finite and the
+        next unseen device model gets the batch size of a clean run."""
+        train = [
+            SimulatedDevice(get_spec(name), np.random.default_rng(i))
+            for i, name in enumerate(["Galaxy S6", "Nexus 5", "Pixel"])
+        ]
+        xs, ys = collect_offline_dataset(train, slo_seconds=3.0, kind="time")
+
+        def shard(_: int) -> FleetServer:
+            iprof = IProf(refit_every=5)
+            iprof.pretrain_time(xs, ys)
+            return FleetServer(
+                make_fedavg(np.zeros(DIM), learning_rate=0.1),
+                iprof,
+                SLO(time_seconds=3.0),
+            )
+
+        def run(bad_upload: bool) -> tuple[Gateway, int]:
+            gateway = Gateway.from_factory(1, shard, GatewayConfig(batch_size=1))
+            results = [
+                dataclasses.replace(
+                    _result(i, np.ones(DIM)), computation_time_s=0.2 + 0.05 * i
+                )
+                for i in range(5)
+            ]
+            if bad_upload:
+                bad = dataclasses.replace(
+                    _result(9, np.ones(DIM)), computation_time_s=float("nan")
+                )
+                results.insert(0, bad)
+            for step, result in enumerate(results):
+                gateway.handle_result(result, now=float(step))
+            request = TaskRequest(
+                worker_id=20,
+                device_model="Nexus 6",
+                features=_features(),
+                label_counts=np.ones(NUM_LABELS),
+            )
+            assignment = gateway.handle_request(request, now=10.0)
+            assert isinstance(assignment, TaskAssignment)
+            return gateway, assignment.batch_size
+
+        clean, expected = run(bad_upload=False)
+        gateway, batch = run(bad_upload=True)
+        assert gateway.results_applied == 6
+        profiler = gateway.shards["shard-0"].profiler
+        assert profiler.rejected_reports == 1
+        assert np.isfinite(profiler.time_predictor.cold_start.theta).all()
+        assert clean.shards["shard-0"].profiler.rejected_reports == 0
+        assert batch == expected
 
 
 class TestThroughputAccounting:

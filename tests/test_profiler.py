@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.devices import SimulatedDevice, get_spec
+from repro.devices.catalog import CATALOG
 from repro.profiler import (
     SLO,
     ColdStartModel,
@@ -135,6 +139,162 @@ class TestColdStart:
             collect_offline_dataset(devices, 2.0, kind="watts")
 
 
+def _catalog_sequence(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` (feature-vector, time-slope) pairs from random catalog devices:
+    per-model memory, frequency and energy columns, jittered memory load and
+    temperature, and a throttled, noisy ground-truth slope."""
+    rng = np.random.default_rng(seed)
+    specs = list(CATALOG.values())
+    picks = rng.integers(0, len(specs), size=n)
+    total = np.array([spec.total_memory_mb for spec in specs])[picks]
+    freq = np.array([spec.sum_max_freq_ghz for spec in specs])[picks]
+    energy = np.array([spec.energy_per_cpu_second for spec in specs])[picks]
+    alpha = np.array([spec.alpha_time for spec in specs])[picks]
+    load = rng.uniform(0.2, 0.85, size=n)
+    temperature = rng.uniform(25.0, 45.0, size=n)
+    xs = np.column_stack(
+        [
+            total * (1.0 - load) / 1024.0,
+            total / 1024.0,
+            temperature / 10.0,
+            freq,
+            energy * 1e3,
+            np.ones(n),
+        ]
+    )
+    throttle = 1.0 + 0.035 * np.maximum(temperature - 42.0, 0.0)
+    ys = alpha * throttle * np.exp(rng.normal(0.0, 0.05, size=n))
+    return xs, ys
+
+
+def _ridge_solve(gram: np.ndarray, xty: np.ndarray, ridge: float = 1e-3) -> np.ndarray:
+    """The ridge solve of the stacked-history cold-start model."""
+    scale = np.trace(gram) / max(1, gram.shape[0])
+    reg = ridge * max(scale, 1e-12) * np.eye(gram.shape[0])
+    return np.linalg.solve(gram + reg, xty)
+
+
+class _StackedOracle:
+    """Reference cold-start model: keeps every sample and re-solves over the
+    stacked history on the same refit schedule as :class:`ColdStartModel`."""
+
+    def __init__(self, feature_dim: int, refit_every: int) -> None:
+        self.feature_dim, self.refit_every = feature_dim, refit_every
+        self.xs: list[np.ndarray] = []
+        self.ys: list[float] = []
+        self.since_fit = 0
+        self.theta = np.zeros(feature_dim)
+
+    def _solve(self) -> np.ndarray:
+        xs, ys = np.stack(self.xs), np.array(self.ys)
+        return _ridge_solve(xs.T @ xs, xs.T @ ys)
+
+    def fit(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        self.xs, self.ys = list(xs), list(ys)
+        self.theta, self.since_fit = self._solve(), 0
+
+    def append(self, x: np.ndarray, y: float) -> None:
+        self.xs.append(x)
+        self.ys.append(y)
+        self.since_fit += 1
+        if self.since_fit >= self.refit_every and len(self.xs) > self.feature_dim:
+            self.theta, self.since_fit = self._solve(), 0
+
+
+class TestColdStartSufficientStatistics:
+    """The cold-start model keeps XᵀX/Xᵀy sums instead of the history."""
+
+    def test_theta_accuracy_over_a_long_history(self):
+        n = 100_000
+        xs, ys = _catalog_sequence(n, seed=7)
+        model = ColdStartModel(6)
+        for x, y in zip(xs, ys):
+            model.append(x, y)
+        assert model.num_samples == n
+        exact = _ridge_solve(
+            np.array([[math.fsum(xs[:, i] * xs[:, j]) for j in range(6)] for i in range(6)]),
+            np.array([math.fsum(xs[:, i] * ys) for i in range(6)]),
+        )
+
+        def error(theta):
+            return float(np.max(np.abs(theta - exact) / np.abs(exact)))
+
+        # On this sequence the stacked solve reaches 1.6e-12 and the same
+        # block fold without its compensation terms 1.6e-12; compensated,
+        # θ is two digits better (2.1e-14).
+        assert error(model.theta) <= 1e-13
+        oracle = _StackedOracle(6, refit_every=50)
+        oracle.fit(xs, ys)
+        np.testing.assert_allclose(model.theta, oracle.theta, rtol=1e-9, atol=0)
+        # A plain running sum (one outer product added per observation, in
+        # order) drifts much further.
+        gram, xty = np.zeros((6, 6)), np.zeros(6)
+        for start in range(0, n, 10_000):
+            chunk, targets = xs[start : start + 10_000], ys[start : start + 10_000]
+            gram = np.add.accumulate(
+                np.concatenate([gram[None], chunk[:, :, None] * chunk[:, None, :]])
+            )[-1]
+            xty = np.add.accumulate(
+                np.concatenate([xty[None], chunk * targets[:, None]])
+            )[-1]
+        assert error(_ridge_solve(gram, xty)) > 1e-11
+
+    @pytest.mark.parametrize("pretrained", [True, False])
+    @pytest.mark.parametrize("refit_every", [1, 3, 50])
+    def test_refits_fire_on_the_stacked_schedule(self, pretrained, refit_every):
+        xs, ys = _catalog_sequence(430, seed=refit_every)
+        model = ColdStartModel(6, refit_every=refit_every)
+        oracle = _StackedOracle(6, refit_every=refit_every)
+        if pretrained:
+            model.fit(xs[:30], ys[:30])
+            oracle.fit(xs[:30], ys[:30])
+            # Seeded with the same products: θ after pre-training is exact.
+            assert np.array_equal(model.theta, oracle.theta)
+            xs, ys = xs[30:], ys[30:]
+        changed, expected = [], []
+        for index, (x, y) in enumerate(zip(xs, ys)):
+            before, reference = model.theta, oracle.theta
+            model.append(x, y)
+            oracle.append(x, y)
+            if not np.array_equal(model.theta, before):
+                changed.append(index)
+            if not np.array_equal(oracle.theta, reference):
+                expected.append(index)
+            np.testing.assert_allclose(model.theta, oracle.theta, rtol=1e-9, atol=0)
+        assert changed == expected
+        assert len(expected) >= (len(xs) - 6) // refit_every - 1
+
+    def test_memory_stays_flat_as_history_grows(self):
+        xs, ys = _catalog_sequence(100_000, seed=11)
+        model = ColdStartModel(6)
+        rows = list(zip(xs, ys.tolist()))
+        tracemalloc.start()
+        try:
+            for x, y in rows[:10_000]:
+                model.append(x, y)
+            warm, _ = tracemalloc.get_traced_memory()
+            for x, y in rows[10_000:]:
+                model.append(x, y)
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.num_samples == 100_000
+        assert grown - warm < 1024
+
+    def test_fit_rejects_non_finite_and_malformed_targets(self):
+        model = ColdStartModel(2)
+        xs, ys = np.ones((4, 2)), np.ones(4)
+        with pytest.raises(ValueError):
+            model.fit(xs, np.ones((4, 1)))
+        with pytest.raises(ValueError):
+            model.fit(xs, np.array([1.0, np.nan, 1.0, 1.0]))
+        bad = xs.copy()
+        bad[2, 1] = np.inf
+        with pytest.raises(ValueError):
+            model.fit(bad, ys)
+        assert not model.fitted and model.num_samples == 0
+
+
 def _pretrained_iprof(seed=0, **kwargs):
     train = [
         SimulatedDevice(get_spec(name), np.random.default_rng(seed + i))
@@ -213,6 +373,46 @@ class TestIProf:
         iprof = _pretrained_iprof()
         with pytest.raises(ValueError):
             iprof.report("X", np.zeros(6), 0, computation_time_s=1.0)
+
+    def test_non_finite_measurement_does_not_poison_the_cold_start(self):
+        """One NaN report used to turn θ into NaN at the next refit and push
+        every unseen device model to the 0.2×min-slope floor."""
+
+        def unseen_batch(bad_report: bool) -> tuple[IProf, int]:
+            iprof = _pretrained_iprof(refit_every=5)
+            if bad_report:
+                iprof.report(
+                    "Bad", np.array([1.5, 2.0, 3.0, 2.0, 1.0, 1.0]), 10,
+                    computation_time_s=float("nan"),
+                )
+            device = SimulatedDevice(get_spec("Xperia E3"), np.random.default_rng(10))
+            for _ in range(5):
+                features = device.features().as_vector()
+                m = device.execute(100)
+                iprof.report(
+                    "Xperia E3", features, 100, computation_time_s=m.computation_time_s
+                )
+            unseen = SimulatedDevice(get_spec("Galaxy S7"), np.random.default_rng(9))
+            decision = iprof.recommend(
+                "Galaxy S7", unseen.features().as_vector(), SLO(time_seconds=3.0)
+            )
+            return iprof, decision.batch_size
+
+        clean, expected = unseen_batch(bad_report=False)
+        poisoned, batch = unseen_batch(bad_report=True)
+        cold_start = poisoned.time_predictor.cold_start
+        assert np.isfinite(cold_start.theta).all()
+        assert cold_start.num_samples == clean.time_predictor.cold_start.num_samples
+        assert poisoned.rejected_reports == 1 and clean.rejected_reports == 0
+        assert not poisoned.time_predictor.has_personal_model("Bad")
+        assert batch == expected
+
+    def test_non_finite_features_reject_every_measured_stack(self):
+        iprof = _pretrained_iprof(personalize=False)
+        features = np.array([1.0, 2.0, np.inf, 2.0, 1.0, 1.0])
+        iprof.report("X", features, 10, computation_time_s=1.0, energy_percent=0.01)
+        assert iprof.rejected_reports == 2
+        assert np.isfinite(iprof.energy_predictor.cold_start.theta).all()
 
 
 class TestMaui:
