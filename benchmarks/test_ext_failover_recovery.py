@@ -68,7 +68,7 @@ def _shard_factory(index: int) -> FleetServer:
 
 
 def _durable_gateway(root: Path) -> Gateway:
-    return Gateway.from_factory(
+    return Gateway.from_spec(
         SHARDS,
         _shard_factory,
         GatewayConfig(batch_size=8, batch_deadline_s=2.0, sync_every_s=1e9),

@@ -256,16 +256,57 @@ def _cmd_fleet_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gateway_sim(args: argparse.Namespace) -> int:
-    from repro.gateway import (
-        ElasticityPolicy,
-        Gateway,
-        GatewayConfig,
-        ObservabilitySpec,
-        RoutingSpec,
-        RuntimeSpec,
-    )
+def _tier_gateway(
+    args: argparse.Namespace, spec, admission_rate, sample_rate=1.0, **kwargs
+):
+    """The gateway both tier commands drive: batching, admission and
+    ``--trace`` (at ``sample_rate``) from the shared tier flags."""
+    from repro.gateway import Gateway, GatewayConfig, ObservabilitySpec
     from repro.runtime import AggregationCostModel
+
+    return Gateway.from_spec(
+        args.shards, spec,
+        GatewayConfig(
+            batch_size=args.batch_size,
+            batch_deadline_s=args.batch_deadline,
+            sync_every_s=args.sync_every,
+            admission_rate_per_s=admission_rate,
+        ),
+        cost_model=AggregationCostModel(),
+        observability=(
+            ObservabilitySpec(sample_rate=sample_rate, seed=args.seed)
+            if args.trace
+            else None
+        ),
+        **kwargs,
+    )
+
+
+def _print_tier_tail(gateway, args: argparse.Namespace) -> None:
+    """The report tail both tier commands share: journal export
+    (``--journal``) and metrics dump (``--metrics-format``)."""
+    if args.journal is not None:
+        traces = (
+            [t.to_dict() for t in gateway.tracer.collector.traces]
+            if gateway.tracer is not None
+            else []
+        )
+        written = gateway.journal.export_jsonl(args.journal, extra=traces)
+        print(f"journal: {written} records -> {args.journal}")
+    if args.metrics_format == "prom":
+        from repro.observability import render_prometheus
+
+        print(render_prometheus(gateway.metrics), end="")
+    elif args.metrics_format == "json":
+        import json
+
+        from repro.observability import registry_snapshot
+
+        print(json.dumps(registry_snapshot(gateway.metrics), indent=2))
+
+
+def _cmd_gateway_sim(args: argparse.Namespace) -> int:
+    from repro.gateway import ElasticityPolicy, RoutingSpec, RuntimeSpec
     from repro.server.telemetry import MetricsRegistry
     from repro.simulation import FleetSimConfig, FleetSimulation
 
@@ -303,11 +344,6 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
         autoscale=policy,
         routing=routing,
     )
-    observability = (
-        ObservabilitySpec(sample_rate=args.trace_sample, seed=args.seed)
-        if args.trace
-        else None
-    )
     durability = None
     if args.durability or args.wal_dir is not None or args.crash_shard_at is not None:
         import tempfile
@@ -332,19 +368,9 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
             fast_window_s=args.slo_fast_window,
             slow_window_s=args.slo_slow_window,
         )
-    gateway = Gateway.from_spec(
-        args.shards, spec,
-        GatewayConfig(
-            batch_size=args.batch_size,
-            batch_deadline_s=args.batch_deadline,
-            sync_every_s=args.sync_every,
-            admission_rate_per_s=admission_rate,
-        ),
-        cost_model=AggregationCostModel(),
-        runtime=runtime,
-        observability=observability,
-        durability=durability,
-        slo=slo,
+    gateway = _tier_gateway(
+        args, spec, admission_rate, sample_rate=args.trace_sample,
+        runtime=runtime, durability=durability, slo=slo,
     )
     heartbeat_s = args.autoscale_window / 2 if args.autoscale else None
     if args.crash_shard_at is not None:
@@ -434,24 +460,7 @@ def _cmd_gateway_sim(args: argparse.Namespace) -> int:
 
             print(per_shard_table(traces))
             print(per_shard_event_table(gateway.journal.to_dicts()))
-    if args.journal is not None:
-        traces = (
-            [t.to_dict() for t in gateway.tracer.collector.traces]
-            if gateway.tracer is not None
-            else []
-        )
-        written = gateway.journal.export_jsonl(args.journal, extra=traces)
-        print(f"journal: {written} records -> {args.journal}")
-    if args.metrics_format == "prom":
-        from repro.observability import render_prometheus
-
-        print(render_prometheus(gateway.metrics), end="")
-    elif args.metrics_format == "json":
-        import json
-
-        from repro.observability import registry_snapshot
-
-        print(json.dumps(registry_snapshot(gateway.metrics), indent=2))
+    _print_tier_tail(gateway, args)
     return 0
 
 
@@ -467,8 +476,7 @@ def _cmd_frontend_sim(args: argparse.Namespace) -> int:
     """
     from repro.devices import SimulatedDevice, fleet_specs
     from repro.frontend import FrontendConfig, LoadGenConfig, run_loopback_sync
-    from repro.gateway import Gateway, GatewayConfig
-    from repro.runtime import AggregationCostModel
+    from repro.observability import SLOSpec
     from repro.server.telemetry import MetricsRegistry
     from repro.server.worker import Worker
 
@@ -476,27 +484,8 @@ def _cmd_frontend_sim(args: argparse.Namespace) -> int:
         args.seed, args.devices, stage_specs=args.stage,
         telemetry_registry=MetricsRegistry(),
     )
-    observability = None
-    if args.trace:
-        from repro.gateway import ObservabilitySpec
-
-        observability = ObservabilitySpec(sample_rate=1.0, seed=args.seed)
-    slo = None
-    if args.slo:
-        from repro.observability import SLOSpec
-
-        slo = SLOSpec()
-    gateway = Gateway.from_spec(
-        args.shards, spec,
-        GatewayConfig(
-            batch_size=args.batch_size,
-            batch_deadline_s=args.batch_deadline,
-            sync_every_s=args.sync_every,
-            admission_rate_per_s=args.admission_rate,
-        ),
-        cost_model=AggregationCostModel(),
-        observability=observability,
-        slo=slo,
+    gateway = _tier_gateway(
+        args, spec, args.admission_rate, slo=SLOSpec() if args.slo else None
     )
     dimension = model.get_parameters().size
     request_factory = result_factory = None
@@ -570,24 +559,7 @@ def _cmd_frontend_sim(args: argparse.Namespace) -> int:
 
         traces = [t.to_dict() for t in gateway.tracer.collector.traces]
         print(critical_path_table(traces))
-    if args.journal is not None:
-        traces = (
-            [t.to_dict() for t in gateway.tracer.collector.traces]
-            if gateway.tracer is not None
-            else []
-        )
-        written = gateway.journal.export_jsonl(args.journal, extra=traces)
-        print(f"journal: {written} records -> {args.journal}")
-    if args.metrics_format == "prom":
-        from repro.observability import render_prometheus
-
-        print(render_prometheus(gateway.metrics), end="")
-    elif args.metrics_format == "json":
-        import json
-
-        from repro.observability import registry_snapshot
-
-        print(json.dumps(registry_snapshot(gateway.metrics), indent=2))
+    _print_tier_tail(gateway, args)
     return 0
 
 
@@ -717,6 +689,39 @@ def _cmd_freshness(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_tier_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    shards: int,
+    batch_deadline: float,
+    sync_every: float,
+    help: dict[str, str],
+) -> None:
+    """The serving-tier flags ``gateway-sim`` and ``frontend-sim`` share.
+
+    Each command keeps its own defaults (virtual vs wall-clock seconds)
+    and its own help text, keyed by flag in ``help``.
+    """
+    from repro.api import STAGE_SPEC_HELP
+
+    parser.add_argument("--shards", type=int, default=shards)
+    parser.add_argument("--batch-size", type=int, default=4)
+    parser.add_argument("--batch-deadline", type=float, default=batch_deadline,
+                        help=help.get("--batch-deadline"))
+    parser.add_argument("--sync-every", type=float, default=sync_every)
+    parser.add_argument("--admission-rate", type=float, default=None,
+                        help=help["--admission-rate"])
+    parser.add_argument("--stage", action="append", default=None,
+                        metavar="SPEC", help=STAGE_SPEC_HELP)
+    parser.add_argument("--trace", action="store_true", help=help["--trace"])
+    parser.add_argument("--slo", action="store_true", help=help["--slo"])
+    parser.add_argument("--journal", default=None, metavar="PATH",
+                        help=help["--journal"])
+    parser.add_argument("--metrics-format", choices=["text", "prom", "json"],
+                        default="text", help=help.get("--metrics-format"))
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -765,16 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
     gateway = sub.add_parser(
         "gateway-sim", help="fleet simulation through the sharded gateway"
     )
-    gateway.add_argument("--shards", type=int, default=4)
     gateway.add_argument("--users", type=int, default=20)
     gateway.add_argument("--hours", type=float, default=0.5)
     gateway.add_argument("--think-time", type=float, default=15.0)
-    gateway.add_argument("--batch-size", type=int, default=4)
-    gateway.add_argument("--batch-deadline", type=float, default=30.0)
-    gateway.add_argument("--sync-every", type=float, default=300.0)
-    gateway.add_argument("--admission-rate", type=float, default=None,
-                         help="token-bucket rate (requests/s; per shard "
-                              "with --autoscale); omit to disable")
     gateway.add_argument("--runtime", choices=["sync", "async"], default="sync",
                          help="micro-batch delivery: on the caller's thread "
                               "(sync) or per-shard worker lanes (async)")
@@ -794,22 +792,10 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--straggler-factor", type=float, default=1.5,
                          help="latency/deadline ratio above which a device "
                               "is steered (with --routing deadline)")
-    gateway.add_argument("--stage", action="append", default=None,
-                         metavar="SPEC", help=STAGE_SPEC_HELP)
-    gateway.add_argument("--trace", action="store_true",
-                         help="trace uploads end to end and print the "
-                              "critical-path breakdown")
     gateway.add_argument("--trace-sample", type=float, default=1.0,
                          help="fraction of uploads traced with --trace "
                               "(library default is 1/64; the CLI defaults "
                               "to 1.0 so short runs report fully)")
-    gateway.add_argument("--journal", default=None, metavar="PATH",
-                         help="export the event journal (plus any traces) "
-                              "as JSONL for `repro trace-report`")
-    gateway.add_argument("--metrics-format", choices=["text", "prom", "json"],
-                         default="text",
-                         help="also dump the metrics registry as Prometheus "
-                              "text exposition or a JSON snapshot")
     gateway.add_argument("--durability", action="store_true",
                          help="write-ahead log + periodic checkpoints per "
                               "shard (implied by --wal-dir/--crash-shard-at)")
@@ -827,10 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--detector-timeout", type=float, default=60.0,
                          help="seconds of shard silence before the failure "
                               "detector declares it dead")
-    gateway.add_argument("--slo", action="store_true",
-                         help="evaluate burn-rate SLOs (latency, shed rate, "
-                              "staleness, availability) during the run and "
-                              "journal alert transitions")
     gateway.add_argument("--slo-latency-bound", type=float, default=2.0,
                          help="end-to-end upload latency bound (virtual s) "
                               "for the latency SLO")
@@ -847,7 +829,23 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--per-shard", action="store_true",
                          help="with --trace, also print per-shard latency "
                               "and event attribution tables")
-    gateway.add_argument("--seed", type=int, default=0)
+    _add_tier_flags(
+        gateway, shards=4, batch_deadline=30.0, sync_every=300.0,
+        help={
+            "--admission-rate": "token-bucket rate (requests/s; per shard "
+                                "with --autoscale); omit to disable",
+            "--trace": "trace uploads end to end and print the "
+                       "critical-path breakdown",
+            "--slo": "evaluate burn-rate SLOs (latency, shed rate, "
+                     "staleness, availability) during the run and "
+                     "journal alert transitions",
+            "--journal": "export the event journal (plus any traces) "
+                         "as JSONL for `repro trace-report`",
+            "--metrics-format": "also dump the metrics registry as "
+                                "Prometheus text exposition or a JSON "
+                                "snapshot",
+        },
+    )
 
     frontend = sub.add_parser(
         "frontend-sim",
@@ -871,28 +869,20 @@ def build_parser() -> argparse.ArgumentParser:
                           help="open loop: stop after this many seconds")
     frontend.add_argument("--window", type=int, default=8,
                           help="per-connection in-flight upload window")
-    frontend.add_argument("--shards", type=int, default=2)
-    frontend.add_argument("--batch-size", type=int, default=4)
-    frontend.add_argument("--batch-deadline", type=float, default=0.05,
-                          help="micro-batch flush deadline (wall seconds "
-                               "here: the frontend clock is real time)")
-    frontend.add_argument("--sync-every", type=float, default=10.0)
-    frontend.add_argument("--admission-rate", type=float, default=None,
-                          help="token-bucket rate (requests/s); shed "
-                               "requests come back as typed REJECTION "
-                               "frames; omit to disable")
-    frontend.add_argument("--stage", action="append", default=None,
-                          metavar="SPEC", help=STAGE_SPEC_HELP)
-    frontend.add_argument("--trace", action="store_true",
-                          help="trace uploads and print the critical path")
-    frontend.add_argument("--slo", action="store_true",
-                          help="evaluate burn-rate SLOs during the run")
-    frontend.add_argument("--journal", default=None, metavar="PATH",
-                          help="export the event journal (connection and "
-                               "drain records included) as JSONL")
-    frontend.add_argument("--metrics-format",
-                          choices=["text", "prom", "json"], default="text")
-    frontend.add_argument("--seed", type=int, default=0)
+    _add_tier_flags(
+        frontend, shards=2, batch_deadline=0.05, sync_every=10.0,
+        help={
+            "--batch-deadline": "micro-batch flush deadline (wall seconds "
+                                "here: the frontend clock is real time)",
+            "--admission-rate": "token-bucket rate (requests/s); shed "
+                                "requests come back as typed REJECTION "
+                                "frames; omit to disable",
+            "--trace": "trace uploads and print the critical path",
+            "--slo": "evaluate burn-rate SLOs during the run",
+            "--journal": "export the event journal (connection and "
+                         "drain records included) as JSONL",
+        },
+    )
 
     report = sub.add_parser(
         "trace-report",

@@ -144,17 +144,10 @@ class DurabilityManager:
     # Lifecycle
     # ------------------------------------------------------------------
     def _open_wal(self, shard_id: str) -> WriteAheadLog:
-        return WriteAheadLog(
-            self.wal_dir(shard_id),
-            segment_max_bytes=self.spec.segment_max_bytes,
-            fsync=self.spec.fsync,
-            compression_level=self.spec.compression_level,
-        )
+        return WriteAheadLog(self.wal_dir(shard_id), fsync=self.spec.fsync)
 
     def _open_store(self, shard_id: str) -> CheckpointStore:
-        return CheckpointStore(
-            self.checkpoint_dir(shard_id), keep=self.spec.keep_checkpoints
-        )
+        return CheckpointStore(self.checkpoint_dir(shard_id))
 
     def attach(self, shard_id: str, server, now: float = 0.0) -> ShardDurability:
         """Arm a shard with a WAL + checkpoint store; anchor-checkpoint it.

@@ -30,17 +30,11 @@ class DurabilitySpec:
         at the cost of more checkpoint writes.  The default (100) keeps
         the snapshot tax well under the WAL's own append cost while the
         replay tail stays bounded at milliseconds of recovery work.
-    segment_max_bytes:
-        WAL segment rotation threshold.
-    keep_checkpoints:
-        Checkpoints retained per shard (older ones are pruned; the WAL
-        tail from the newest retained checkpoint onward is always kept).
     fsync:
         Fsync every WAL record (and journal stream line) to disk.  Off by
         default: records are still flushed to the OS per append, so a
         *process* crash loses nothing — only a machine crash can eat the
-        tail (the recovery-guarantees table in the README spells this
-        out).
+        tail.
     detector_timeout_s:
         Seconds of lane silence before the failure detector declares a
         shard dead and the gateway fails it over.
@@ -54,32 +48,21 @@ class DurabilitySpec:
         this JSONL file as it is written (append + optional fsync), so
         the ``failover_start``/``failover_done`` events survive the crash
         they describe instead of living only in the in-memory ring.
-    compression_level:
-        zlib level of WAL record bodies.  0 (the default) stores raw:
-        float64 gradients are essentially incompressible and the WAL
-        sits on the ``handle_result_batch`` fold path, so compressing
-        them buys bytes nobody saves at a throughput cost everybody
-        pays.  Raise it for archival density on compressible models.
+
+    WAL segment size and checkpoint retention are the
+    :class:`~repro.durability.wal.WriteAheadLog` and
+    :class:`~repro.durability.checkpoint.CheckpointStore` defaults.
     """
 
     root_dir: str | Path
     checkpoint_every_updates: int = 100
-    segment_max_bytes: int = 4 * 1024 * 1024
-    keep_checkpoints: int = 3
     fsync: bool = False
     detector_timeout_s: float = 30.0
     auto_failover: bool = True
     journal_path: str | Path | None = None
-    compression_level: int = 0
 
     def __post_init__(self) -> None:
         if self.checkpoint_every_updates <= 0:
             raise ValueError("checkpoint_every_updates must be positive")
-        if self.segment_max_bytes <= 0:
-            raise ValueError("segment_max_bytes must be positive")
-        if self.keep_checkpoints <= 0:
-            raise ValueError("keep_checkpoints must be positive")
         if self.detector_timeout_s <= 0:
             raise ValueError("detector_timeout_s must be positive")
-        if not 0 <= self.compression_level <= 9:
-            raise ValueError("compression_level must be in [0, 9]")

@@ -21,11 +21,12 @@ and the payload is a fixed 28-byte binary header followed by the body::
     | i64 seq | i64 clock | body
 
 where ``kind`` is 1 (apply) or 2 (params), flag bit 0 is the delivery's
-``batched`` flag, and flag bit 1 says the body is zlib-compressed
-(``compression_level > 0``, for archival density; the default is raw —
-float64 gradient mantissas are incompressible, and the WAL sits on the
-``handle_result_batch`` fold path).  The body packs the record's arrays
-back to back as raw little-endian bytes.  A torn tail (the process died
+``batched`` flag, and flag bit 1 says the body is zlib-compressed.
+The appender always writes raw bodies — float64 gradient mantissas are
+incompressible, and the WAL sits on the ``handle_result_batch`` fold
+path — but the reader still inflates flagged bodies, so logs written by
+earlier builds with a compression level restore unchanged.  The body
+packs the record's arrays back to back as raw little-endian bytes.  A torn tail (the process died
 mid-append) fails either the length read or the CRC and reading simply
 stops there — every fully framed record before it is intact by
 construction, because records are only ever appended.  Reopening a
@@ -155,17 +156,13 @@ class WriteAheadLog:
         *,
         segment_max_bytes: int = 4 * 1024 * 1024,
         fsync: bool = False,
-        compression_level: int = 0,
     ) -> None:
         if segment_max_bytes <= 0:
             raise ValueError("segment_max_bytes must be positive")
-        if not 0 <= compression_level <= 9:
-            raise ValueError("compression_level must be in [0, 9]")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_max_bytes = segment_max_bytes
         self.fsync = fsync
-        self.compression_level = compression_level
         self._handle = None
         self._segment_path: Path | None = None
         self._segment_size = 0
@@ -274,10 +271,6 @@ class WriteAheadLog:
         parts: tuple,
         body_len: int,
     ) -> int:
-        if self.compression_level:
-            flags |= _FLAG_ZLIB
-            parts = (zlib.compress(b"".join(parts), self.compression_level),)
-            body_len = len(parts[0])
         prefix = _HEADER.pack(
             kind, flags, count, dim, num_labels, self.next_seq, int(clock)
         )

@@ -553,6 +553,7 @@ def unpack_result(
     _require(len(body) >= RESULT_BODY.size, "truncated RESULT")
     fields = RESULT_BODY.unpack_from(body)
     seq, pull_step, batch_size = fields[0], fields[1], fields[2]
+    _require(batch_size >= 1, "RESULT batch_size must be at least 1")
     computation_time_s, energy_percent = fields[3], fields[4]
     features, num_labels = fields[5:10], fields[10]
     labels, offset = _unpack_labels(body, RESULT_BODY.size, num_labels)

@@ -56,28 +56,33 @@ from repro.server.protocol import TaskAssignment
 __all__ = ["FrontendConfig", "DeviceFrontend"]
 
 
+#: Bytes requested per socket read.
+READ_CHUNK_BYTES = 64 * 1024
+#: Seconds an OVERLOADED frame tells the device to back off.
+RETRY_AFTER_S = 0.05
+#: Wire precision of ASSIGNMENT parameter blobs.
+DOWNLINK_PRECISION = "f32"
+#: Seconds a drain waits for connections to close before giving up.
+DRAIN_TIMEOUT_S = 10.0
+
+
 @dataclass(frozen=True)
 class FrontendConfig:
     """Tunables of the device-facing frontend.
 
     ``max_inflight`` is the per-connection unacked-upload window granted
-    at handshake (a HELLO may request less, never more).  ``write_high_water``
-    caps the per-connection transport write buffer; tests shrink it to
-    force slow-reader pausing with small payloads.  ``downlink_level`` is
-    the deflate level for ASSIGNMENT parameter blobs — downlink bytes are
-    re-encoded per assignment, so the default trades ratio for latency.
+    at handshake (a HELLO may request less, never more).
+    ``downlink_level`` is the deflate level for ASSIGNMENT parameter
+    blobs — downlink bytes are re-encoded per assignment, so the default
+    trades ratio for latency.  Frame size, read chunk, back-off hint,
+    downlink precision and drain timeout are module constants; the
+    transport keeps asyncio's default write high-water mark.
     """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; DeviceFrontend.start() returns the bound port
     max_inflight: int = 32
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-    read_chunk_bytes: int = 64 * 1024
-    write_high_water: int | None = None
-    retry_after_s: float = 0.05
-    downlink_precision: str = "f32"
     downlink_level: int = 1
-    drain_timeout_s: float = 10.0
 
 
 class _Connection:
@@ -99,7 +104,7 @@ class _Connection:
         self.frontend = frontend
         self.reader = reader
         self.writer = writer
-        self.decoder = FrameDecoder(frontend.config.max_frame_bytes)
+        self.decoder = FrameDecoder(DEFAULT_MAX_FRAME_BYTES)
         self.hello: framing.Hello | None = None
         self.session_id = 0
         self.window = frontend.config.max_inflight
@@ -169,7 +174,6 @@ class _Connection:
         )
 
     def _handshake(self, ftype: int, body: bytes) -> bool:
-        config = self.frontend.config
         if ftype != FrameType.HELLO:
             self.frontend._handshake_errors.increment()
             self._protocol_failure(
@@ -199,14 +203,14 @@ class _Connection:
             return False
         self.hello = hello
         if hello.max_inflight:
-            self.window = min(hello.max_inflight, config.max_inflight)
+            self.window = min(hello.max_inflight, self.frontend.config.max_inflight)
         self.session_id = self.frontend._next_session_id()
         self._send(
             framing.pack_welcome(
                 Welcome(
                     version=PROTOCOL_VERSION,
                     max_inflight=self.window,
-                    max_frame_bytes=config.max_frame_bytes,
+                    max_frame_bytes=DEFAULT_MAX_FRAME_BYTES,
                     session_id=self.session_id,
                 )
             )
@@ -224,7 +228,7 @@ class _Connection:
         if frontend.draining:
             self._send(
                 framing.pack_overloaded(
-                    seq, OverloadScope.DRAINING, frontend.config.retry_after_s
+                    seq, OverloadScope.DRAINING, RETRY_AFTER_S
                 )
             )
             return
@@ -248,7 +252,7 @@ class _Connection:
             frontend._results_overloaded.increment()
             self._send(
                 framing.pack_overloaded(
-                    seq, OverloadScope.DRAINING, frontend.config.retry_after_s
+                    seq, OverloadScope.DRAINING, RETRY_AFTER_S
                 )
             )
             return
@@ -257,7 +261,7 @@ class _Connection:
             frontend._results_overloaded.increment()
             self._send(
                 framing.pack_overloaded(
-                    seq, OverloadScope.WINDOW, frontend.config.retry_after_s
+                    seq, OverloadScope.WINDOW, RETRY_AFTER_S
                 )
             )
             return
@@ -280,15 +284,10 @@ class _Connection:
 
     # -- socket loop ---------------------------------------------------
     async def run(self) -> None:
-        config = self.frontend.config
         assert self.reader is not None and self.writer is not None
-        if config.write_high_water is not None:
-            self.writer.transport.set_write_buffer_limits(
-                high=config.write_high_water
-            )
         try:
             while True:
-                data = await self.reader.read(config.read_chunk_bytes)
+                data = await self.reader.read(READ_CHUNK_BYTES)
                 if not data:
                     if self.decoder.pending_bytes and self.close_reason == "eof":
                         self.close_reason = "torn"
@@ -360,7 +359,7 @@ class DeviceFrontend:
         # Model size D: bounds every RESULT's gradient blob (protocol §3.3).
         self.dimension = gateway.current_parameters().size
         self.codec = VectorCodec(
-            precision=self.config.downlink_precision,
+            precision=DOWNLINK_PRECISION,
             compression_level=self.config.downlink_level,
         )
         self._clock = clock
@@ -486,7 +485,7 @@ class DeviceFrontend:
         if waiters:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(
-                    asyncio.gather(*waiters), timeout=self.config.drain_timeout_s
+                    asyncio.gather(*waiters), timeout=DRAIN_TIMEOUT_S
                 )
         received = self.gateway.results_received()
         applied = self.gateway.results_applied

@@ -174,9 +174,7 @@ class Gateway:
         # cheap — decisions are rare next to uploads); per-upload tracing
         # is opt-in through the spec.  Built before the router binds so
         # routing decisions can journal from the first request.
-        self.journal = EventJournal(
-            capacity=observability.journal_capacity if observability is not None else 8192
-        )
+        self.journal = EventJournal()
         self.metrics = MetricsRegistry()
         # Serving runtime: the one delivery path.  Every flushed batch
         # runs inline on the caller's thread; without a spec, lanes never
@@ -258,7 +256,7 @@ class Gateway:
             if shard_factory is None:
                 raise ValueError(
                     "autoscaling needs a shard factory: build the "
-                    "gateway via from_factory/from_spec (or pass "
+                    "gateway via from_spec (or pass "
                     "shard_factory=) so new shards can be stamped out"
                 )
             self.autoscaler = ElasticityController(runtime.autoscale, self)
@@ -309,7 +307,7 @@ class Gateway:
     # Factory
     # ------------------------------------------------------------------
     @classmethod
-    def from_factory(
+    def from_spec(
         cls,
         num_shards: int,
         shard_factory: Callable[[int], FleetServer],
@@ -346,8 +344,6 @@ class Gateway:
             durability=durability or getattr(shard_factory, "durability", None),
             slo=slo,
         )
-
-    from_spec = from_factory
 
     # ------------------------------------------------------------------
     # Time
@@ -417,8 +413,11 @@ class Gateway:
 
         Returns True when this result's lane flushed (a shard model update
         happened now); deadline-triggered flushes of *other* lanes may also
-        run as a side effect of time advancing.
+        run as a side effect of time advancing.  A result with
+        ``batch_size < 1`` raises ``ValueError`` before it is counted.
         """
+        if result.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         now = self._advance(now)
         self._results.increment()
         if self._first_result_time is None:
@@ -430,21 +429,23 @@ class Gateway:
 
         shard_id = self._inflight.pop(result.worker_id, None)
         if shard_id not in self._crashed and shard_id not in self._shards:
-            # Rerouted result (shard removed, or lease predates the gateway):
-            # the new owner's clock may be behind the issuing shard's, so
-            # clamp the lease to keep staleness non-negative.
+            # Rerouted result: its shard was removed, or the lease
+            # predates the gateway.
             shard_id = self.shard_for(result.worker_id)
-            if shard_id in self._shards:
-                clock = self._shards[shard_id].clock
-                if result.pull_step > clock:
-                    result = dataclasses.replace(result, pull_step=clock)
-        if shard_id in self._crashed:
+        # Clamp the lease to the owner's clock, so staleness stays
+        # non-negative: a rerouted result's new owner may be behind the
+        # issuing shard, and a pull_step past the clock (never sent by an
+        # honest device) would make the fold raise for its whole batch.
+        crash = self._crashed.get(shard_id)
+        clock = crash.clock if crash is not None else self._shards[shard_id].clock
+        if result.pull_step > clock:
+            result = dataclasses.replace(result, pull_step=clock)
+        if crash is not None:
             # The owning shard is down: the result is ACCEPTED (counted
             # above) and parked in wire form — encoded like any batch
             # entry, so failover redelivers it exactly like a flush and an
             # acked upload is never lost.
-            parked = self._crashed[shard_id].parked
-            parked.append(encode_result(result, self.codec, admitted_at=now))
+            crash.parked.append(encode_result(result, self.codec, admitted_at=now))
             return self._pump(now)
 
         if self.tracer is not None:
@@ -658,7 +659,7 @@ class Gateway:
         if self._shard_factory is None:
             raise ValueError(
                 "no shard factory retained: build the gateway via "
-                "from_factory/from_spec (or pass shard_factory=)"
+                "from_spec (or pass shard_factory=)"
             )
         shard = self._shard_factory(self._shards_built)
         self._shards_built += 1
@@ -730,7 +731,7 @@ class Gateway:
         if self._shard_factory is None:
             raise ValueError(
                 "failover needs a retained shard factory: build the gateway "
-                "via from_factory/from_spec (or pass shard_factory=)"
+                "via from_spec (or pass shard_factory=)"
             )
         self.journal.failover_start(now, shard_id, epoch=self.router.epoch)
         fresh = self._shard_factory(self._shards_built)

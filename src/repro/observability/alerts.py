@@ -8,9 +8,9 @@ sheds and failovers — so "why did the autoscaler grow at t=412s" and
 The state machine implements multi-window hysteresis:
 
 * **fire** — both the fast and the slow window burn at or above
-  ``fire_burn_rate`` (the fast window reacts quickly, the slow window
+  :data:`FIRE_BURN_RATE` (the fast window reacts quickly, the slow window
   suppresses blips that cannot actually exhaust the budget);
-* **resolve** — the fast window burns below ``resolve_burn_rate``
+* **resolve** — the fast window burns below :data:`RESOLVE_BURN_RATE`
   (recovery is judged on the reactive window only; waiting for the slow
   window to drain would hold alerts long after the incident ended).
 
@@ -24,6 +24,11 @@ import dataclasses
 from dataclasses import dataclass
 
 __all__ = ["AlertFireRecord", "AlertResolveRecord", "AlertManager"]
+
+#: An alert fires when both windows burn error budget at 4× the
+#: sustainable rate, and resolves once the fast window is back at budget.
+FIRE_BURN_RATE = 4.0
+RESOLVE_BURN_RATE = 1.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class AlertResolveRecord:
 class AlertManager:
     """Per-objective alert state with journaled transitions.
 
-    ``spec`` supplies the thresholds; ``journal`` (optional) receives
+    ``spec`` supplies the windows; ``journal`` (optional) receives
     one record per transition.  Active alerts are exposed in fire order
     — deterministic because the engine evaluates trackers in a fixed
     order on a deterministic clock.
@@ -87,8 +92,8 @@ class AlertManager:
         name = status.name
         if name not in self._active:
             should_fire = (
-                status.burn_rate_fast >= self.spec.fire_burn_rate
-                and status.burn_rate_slow >= self.spec.fire_burn_rate
+                status.burn_rate_fast >= FIRE_BURN_RATE
+                and status.burn_rate_slow >= FIRE_BURN_RATE
             )
             if should_fire:
                 self._active[name] = now
@@ -108,7 +113,7 @@ class AlertManager:
                     self.journal.record(record)
                 return _with_firing(status, True)
             return status
-        if status.burn_rate_fast < self.spec.resolve_burn_rate:
+        if status.burn_rate_fast < RESOLVE_BURN_RATE:
             fired_at = self._active.pop(name)
             self.resolved += 1
             record = AlertResolveRecord(

@@ -44,49 +44,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.observability.alerts import AlertManager
+from repro.observability.alerts import (
+    FIRE_BURN_RATE,
+    RESOLVE_BURN_RATE,
+    AlertManager,
+)
 
 __all__ = ["SLOSpec", "SLOStatus", "SLOTracker", "SLOEngine"]
 
 
+#: Target good-event fractions of the four objectives.
+LATENCY_OBJECTIVE = 0.95
+SHED_OBJECTIVE = 0.99
+STALENESS_OBJECTIVE = 0.95
+AVAILABILITY_OBJECTIVE = 0.999
+
+
 @dataclass(frozen=True)
 class SLOSpec:
-    """Declarative objectives of the serving tier.
+    """Declarative bounds and windows of the serving tier's objectives.
 
-    ``latency_objective = 0.95`` with ``latency_bound_s = 2.0`` reads
+    ``latency_bound_s = 2.0`` with :data:`LATENCY_OBJECTIVE` (0.95) reads
     "95% of uploads complete end-to-end within 2 seconds" — the p95
-    latency SLO.  Burn-rate thresholds are shared across objectives:
-    ``fire_burn_rate = 4.0`` means an alert fires when the tier is
-    consuming its error budget at 4× the sustainable rate over BOTH
-    windows; ``resolve_burn_rate = 1.0`` resolves once the fast window
-    is back at or under budget.  ``evaluate_every_s`` quantizes
-    evaluation on the caller's clock exactly like the failure detector's
-    probes, so same-seed virtual-clock runs evaluate at identical
-    instants.
+    latency SLO.  The objectives and the shared burn-rate thresholds are
+    module constants: an alert fires when the tier consumes its error
+    budget at :data:`~repro.observability.alerts.FIRE_BURN_RATE` (4×) the
+    sustainable rate over BOTH windows, and resolves once the fast window
+    is back under :data:`~repro.observability.alerts.RESOLVE_BURN_RATE`.
+    ``evaluate_every_s`` quantizes evaluation on the caller's clock
+    exactly like the failure detector's probes, so same-seed
+    virtual-clock runs evaluate at identical instants.
     """
 
     latency_bound_s: float = 2.0
-    latency_objective: float = 0.95
-    shed_objective: float = 0.99
     staleness_bound: float = 16.0
-    staleness_objective: float = 0.95
-    availability_objective: float = 0.999
     fast_window_s: float = 300.0
     slow_window_s: float = 3600.0
-    fire_burn_rate: float = 4.0
-    resolve_burn_rate: float = 1.0
     evaluate_every_s: float = 5.0
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "latency_objective",
-            "shed_objective",
-            "staleness_objective",
-            "availability_objective",
-        ):
-            objective = getattr(self, field_name)
-            if not 0.0 < objective < 1.0:
-                raise ValueError(f"{field_name} must be in (0, 1)")
         if self.latency_bound_s <= 0:
             raise ValueError("latency_bound_s must be positive")
         if self.staleness_bound < 0:
@@ -95,10 +91,6 @@ class SLOSpec:
             raise ValueError("fast_window_s must be positive")
         if self.slow_window_s <= self.fast_window_s:
             raise ValueError("slow_window_s must exceed fast_window_s")
-        if self.resolve_burn_rate <= 0:
-            raise ValueError("resolve_burn_rate must be positive")
-        if self.fire_burn_rate <= self.resolve_burn_rate:
-            raise ValueError("fire_burn_rate must exceed resolve_burn_rate")
         if not 0.0 < self.evaluate_every_s <= self.fast_window_s:
             raise ValueError(
                 "evaluate_every_s must be in (0, fast_window_s]"
@@ -327,18 +319,18 @@ class SLOEngine:
             spec,
             [
                 SLOTracker(
-                    "upload_latency", spec.latency_objective, spec, latency_sli
+                    "upload_latency", LATENCY_OBJECTIVE, spec, latency_sli
                 ),
-                SLOTracker("shed_rate", spec.shed_objective, spec, shed_sli),
+                SLOTracker("shed_rate", SHED_OBJECTIVE, spec, shed_sli),
                 SLOTracker(
                     "applied_staleness",
-                    spec.staleness_objective,
+                    STALENESS_OBJECTIVE,
                     spec,
                     staleness_sli,
                 ),
                 SLOTracker(
                     "availability",
-                    spec.availability_objective,
+                    AVAILABILITY_OBJECTIVE,
                     spec,
                     availability_sli,
                 ),
@@ -413,8 +405,8 @@ class SLOEngine:
                 "staleness_bound": self.spec.staleness_bound,
                 "fast_window_s": self.spec.fast_window_s,
                 "slow_window_s": self.spec.slow_window_s,
-                "fire_burn_rate": self.spec.fire_burn_rate,
-                "resolve_burn_rate": self.spec.resolve_burn_rate,
+                "fire_burn_rate": FIRE_BURN_RATE,
+                "resolve_burn_rate": RESOLVE_BURN_RATE,
                 "evaluate_every_s": self.spec.evaluate_every_s,
             },
             "evaluations": self.evaluations,

@@ -58,22 +58,16 @@ class ObservabilitySpec:
     ``sample_rate`` is the fraction of uploads traced (default 1/64 keeps
     the hot path cheap; 1.0 traces everything, 0.0 disables tracing while
     keeping the journal).  ``seed`` makes the sampled subset reproducible.
-    ``max_traces`` bounds the finished-trace ring; ``journal_capacity``
-    bounds the event journal the gateway builds alongside.
+    The finished-trace ring keeps :class:`SpanCollector`'s default
+    capacity.
     """
 
     sample_rate: float = 1.0 / 64.0
     seed: int = 0
-    max_traces: int = 4096
-    journal_capacity: int = 8192
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sample_rate <= 1.0:
             raise ValueError("sample_rate must be in [0, 1]")
-        if self.max_traces <= 0:
-            raise ValueError("max_traces must be positive")
-        if self.journal_capacity <= 0:
-            raise ValueError("journal_capacity must be positive")
 
 
 @dataclass
@@ -188,7 +182,7 @@ class UploadTracer:
 
     def __init__(self, spec: ObservabilitySpec) -> None:
         self.spec = spec
-        self.collector = SpanCollector(spec.max_traces)
+        self.collector = SpanCollector()
         self._seed_mix = _mix64(spec.seed)
         self._threshold = int(spec.sample_rate * float(1 << 64))
         # The upload sequence number drives sampling; it advances for

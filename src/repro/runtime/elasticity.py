@@ -29,6 +29,14 @@ from dataclasses import dataclass
 
 __all__ = ["ElasticityPolicy", "ScalingEvent", "ElasticityController"]
 
+# Fraction of the post-shrink tier's admission capacity the window's
+# admitted load must fit into before a scale-down is allowed.  This is
+# what damps flapping: with per-shard admission, a tier serving near
+# its bucket limit shows LOW lane occupancy (the bucket, not the lane,
+# is the binding constraint), so occupancy alone would shrink a tier
+# that immediately sheds and grows again.
+SCALE_DOWN_HEADROOM = 0.8
+
 
 @dataclass(frozen=True)
 class ElasticityPolicy:
@@ -51,13 +59,6 @@ class ElasticityPolicy:
     scale_up_shed_rate: float = 0.0
     scale_down_occupancy: float = 0.30
     scale_up_factor: float = 2.0
-    # Fraction of the post-shrink tier's admission capacity the window's
-    # admitted load must fit into before a scale-down is allowed.  This is
-    # what damps flapping: with per-shard admission, a tier serving near
-    # its bucket limit shows LOW lane occupancy (the bucket, not the lane,
-    # is the binding constraint), so occupancy alone would shrink a tier
-    # that immediately sheds and grows again.
-    scale_down_headroom: float = 0.8
     admission_rate_per_shard: float | None = None
     # Treat a firing SLO alert (gateway.slo_engine) as scale-up pressure:
     # the burn-rate engine watches user-facing objectives (latency, shed,
@@ -81,8 +82,6 @@ class ElasticityPolicy:
             raise ValueError(
                 "scale_down_occupancy must be in [0, scale_up_occupancy)"
             )
-        if not 0.0 < self.scale_down_headroom <= 1.0:
-            raise ValueError("scale_down_headroom must be in (0, 1]")
         if (
             self.admission_rate_per_shard is not None
             and self.admission_rate_per_shard <= 0
@@ -245,7 +244,7 @@ class ElasticityController:
                 num_shards - 1
             )
             quiet = admitted_rate <= (
-                policy.scale_down_headroom * post_shrink_capacity
+                SCALE_DOWN_HEADROOM * post_shrink_capacity
             )
         if quiet and num_shards > policy.min_shards:
             removed = (self.gateway.scale_down(now),)

@@ -34,7 +34,6 @@ from repro.devices.device import SimulatedDevice
 from repro.network.conditions import NetworkConditions
 from repro.network.interface import NetworkInterface
 from repro.nn.models import Sequential
-from repro.profiler.iprof import SLO
 from repro.server.codec import VectorCodec
 from repro.server.sparsification import ErrorFeedbackCompressor
 from repro.server.protocol import TaskAssignment, TaskRequest
@@ -44,6 +43,13 @@ from repro.server.worker import Worker
 from repro.simulation.events import EventLoop
 
 __all__ = ["FleetSimConfig", "ParticipantState", "FleetSimResult", "FleetSimulation"]
+
+#: Held-out examples each evaluation scores (a fixed random subset).
+EVAL_EXAMPLES = 512
+#: Wire precision of the model as transferred.
+CODEC_PRECISION = "f32"
+#: Mean signal quality of every device's network.
+MEAN_SIGNAL_QUALITY = 0.75
 
 
 @dataclass(frozen=True)
@@ -64,25 +70,11 @@ class FleetSimConfig:
     abort_probability: float = 0.05
     battery_floor_percent: float = 20.0
     eval_every_updates: int = 50
-    eval_examples: int = 512
-    slo: SLO = field(default_factory=lambda: SLO(time_seconds=3.0))
-    codec_precision: str = "f32"
-    mean_signal_quality: float = 0.75
     # The paper's worker is a foreground library (§2.4): with this enabled,
     # a user only issues requests while inside an app session (per their
     # UserActivityModel); outside a session the request is skipped and the
     # next attempt is rescheduled.
     gate_on_app_session: bool = False
-    # §4: communication-efficiency techniques are pluggable.  When set,
-    # every worker uploads a top-k sparsified gradient with error feedback
-    # (k = fraction × model size), shrinking the upload wire size — and the
-    # accuracy cost of the lossy upload becomes measurable end to end.
-    # DEPRECATED in favor of building the server with
-    # ``FleetBuilder.sparse_uploads(fraction)``: when the server pipeline
-    # carries a ``SparseUploadDecodeStage`` with an advertised fraction,
-    # the simulation's workers compress automatically and ship the sparse
-    # wire form for the *server* to decode (this flag decodes sim-side).
-    sparsify_fraction: float | None = None
     # Periodic server heartbeat: every ``heartbeat_s`` of virtual time the
     # endpoint's ``heartbeat(now)`` is invoked (if it has one), so
     # time-driven machinery — gateway deadline flushes, the elasticity
@@ -91,11 +83,10 @@ class FleetSimConfig:
     heartbeat_s: float | None = None
     # Fault injection: at ``crash_shard_at_s`` of virtual time the
     # endpoint's ``crash_shard`` is invoked (a gateway with durability
-    # configured), losing that shard's in-memory state mid-run.  With
-    # ``crash_shard`` of None the lexicographically first shard dies.
-    # Recovery is the endpoint's business (failure detector + failover).
+    # configured) on the lexicographically first shard, losing its
+    # in-memory state mid-run.  Recovery is the endpoint's business
+    # (failure detector + failover).
     crash_shard_at_s: float | None = None
-    crash_shard: str | None = None
 
     def __post_init__(self) -> None:
         if self.horizon_s <= 0:
@@ -108,14 +99,10 @@ class FleetSimConfig:
             raise ValueError("battery_floor_percent must be in [0, 100)")
         if self.eval_every_updates <= 0:
             raise ValueError("eval_every_updates must be positive")
-        if self.sparsify_fraction is not None and not 0.0 < self.sparsify_fraction <= 1.0:
-            raise ValueError("sparsify_fraction must be in (0, 1]")
         if self.heartbeat_s is not None and self.heartbeat_s <= 0:
             raise ValueError("heartbeat_s must be positive")
         if self.crash_shard_at_s is not None and self.crash_shard_at_s < 0:
             raise ValueError("crash_shard_at_s must be non-negative")
-        if self.crash_shard is not None and self.crash_shard_at_s is None:
-            raise ValueError("crash_shard needs crash_shard_at_s")
 
 
 @dataclass
@@ -210,7 +197,7 @@ class FleetSimulation:
         self.config = config or FleetSimConfig()
         self._rng = rng
         self.loop = EventLoop()
-        self.codec = VectorCodec(precision=self.config.codec_precision)
+        self.codec = VectorCodec(precision=CODEC_PRECISION)
         self.result = FleetSimResult()
 
         specs = fleet_specs(partition.num_users, rng, names=device_names)
@@ -228,7 +215,7 @@ class FleetSimulation:
                 rng=rng,
             )
             conditions = NetworkConditions(
-                rng, mean_quality=self.config.mean_signal_quality
+                rng, mean_quality=MEAN_SIGNAL_QUALITY
             )
             network = NetworkInterface(conditions, rng)
             activity = (
@@ -242,10 +229,8 @@ class FleetSimulation:
 
         self._eval_x = dataset.test_x
         self._eval_y = dataset.test_y
-        if self.config.eval_examples < self._eval_x.shape[0]:
-            pick = rng.choice(
-                self._eval_x.shape[0], size=self.config.eval_examples, replace=False
-            )
+        if EVAL_EXAMPLES < self._eval_x.shape[0]:
+            pick = rng.choice(self._eval_x.shape[0], size=EVAL_EXAMPLES, replace=False)
             self._eval_x, self._eval_y = self._eval_x[pick], self._eval_y[pick]
         self._last_eval_step = 0
 
@@ -255,22 +240,17 @@ class FleetSimulation:
         self._wire_bytes = sample_blob.wire_bytes
 
         # Optional per-worker upload compression (§4: pluggable technique).
-        # Preferred wiring: the server's pipeline advertises sparse uploads
-        # via a SparseUploadDecodeStage and decodes them itself; the
-        # legacy ``sparsify_fraction`` flag densifies sim-side instead.
+        # When the server's pipeline advertises sparse uploads through a
+        # SparseUploadDecodeStage, every worker uploads a top-k sparsified
+        # gradient with error feedback (k = fraction × model size) and the
+        # server decodes it, shrinking the upload wire size.
         self._compressors: list[ErrorFeedbackCompressor] | None = None
         self._upload_bytes = self._wire_bytes
-        self._ship_sparse = False
-        fraction = self.config.sparsify_fraction
-        if fraction is None:
-            find = getattr(server, "find_result_stage", None)
-            stage = find(SparseUploadDecodeStage) if callable(find) else None
-            if stage is not None and stage.fraction is not None:
-                fraction = stage.fraction
-                self._ship_sparse = True
-        if fraction is not None:
+        find = getattr(server, "find_result_stage", None)
+        stage = find(SparseUploadDecodeStage) if callable(find) else None
+        if stage is not None and stage.fraction is not None:
             dimension = server.current_parameters().size
-            k = max(1, int(fraction * dimension))
+            k = max(1, int(stage.fraction * dimension))
             self._compressors = [
                 ErrorFeedbackCompressor(dimension, k)
                 for _ in range(len(self.participants))
@@ -325,10 +305,7 @@ class FleetSimulation:
         sparse_payload = None
         if self._compressors is not None:
             sparse_payload = self._compressors[user_id].compress(result.gradient)
-            payload = (
-                sparse_payload if self._ship_sparse else sparse_payload.densify()
-            )
-            result = dataclasses.replace(result, gradient=payload)
+            result = dataclasses.replace(result, gradient=sparse_payload)
         compute_s = result.computation_time_s
         up = state.network.transfer(
             self._upload_bytes, start + down.seconds + compute_s, uplink=True
@@ -413,10 +390,7 @@ class FleetSimulation:
                 "crash_shard_at_s needs an endpoint with crash_shard "
                 "(a Gateway built with durability)"
             )
-        shard_id = self.config.crash_shard
-        if shard_id is None:
-            shard_id = sorted(self.server.shards)[0]
-        crash(shard_id, now=self.loop.now)
+        crash(sorted(self.server.shards)[0], now=self.loop.now)
 
     def _on_heartbeat(self) -> None:
         """Tick the endpoint's time-driven machinery without traffic."""

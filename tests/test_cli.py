@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -224,3 +226,47 @@ class TestFrontendSim:
         assert args.mode == "closed"
         assert args.devices == 16
         assert args.window == 8
+
+    def test_push_mode_journal_and_prometheus_tail(self, capsys, tmp_path):
+        journal = tmp_path / "frontend.jsonl"
+        assert main([
+            "frontend-sim", "--mode", "push", "--devices", "2",
+            "--uploads", "2", "--journal", str(journal),
+            "--metrics-format", "prom",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"-> {journal}" in out
+        assert "# TYPE gateway_results_total counter" in out
+        kinds = {json.loads(line)["kind"] for line in journal.read_text().splitlines()}
+        assert "frontend_drain" in kinds
+
+
+class TestTierFlags:
+    """``gateway-sim`` and ``frontend-sim`` share their tier flags; the
+    no-argument parse of each is pinned field by field."""
+
+    def test_gateway_sim_no_argument_parse(self):
+        assert vars(build_parser().parse_args(["gateway-sim"])) == {
+            "command": "gateway-sim", "shards": 4, "users": 20, "hours": 0.5,
+            "think_time": 15.0, "batch_size": 4, "batch_deadline": 30.0,
+            "sync_every": 300.0, "admission_rate": None, "runtime": "sync",
+            "autoscale": False, "max_shards": 8, "autoscale_window": 60.0,
+            "queue_capacity": 64, "routing": "hash", "straggler_factor": 1.5,
+            "stage": None, "trace": False, "trace_sample": 1.0,
+            "journal": None, "metrics_format": "text", "durability": False,
+            "wal_dir": None, "crash_shard_at": None, "checkpoint_every": 100,
+            "detector_timeout": 60.0, "slo": False, "slo_latency_bound": 2.0,
+            "slo_staleness_bound": 16.0, "slo_fast_window": 300.0,
+            "slo_slow_window": 3600.0, "slo_json": None, "per_shard": False,
+            "seed": 0,
+        }
+
+    def test_frontend_sim_no_argument_parse(self):
+        assert vars(build_parser().parse_args(["frontend-sim"])) == {
+            "command": "frontend-sim", "devices": 16, "mode": "closed",
+            "uploads": 8, "think_time": 0.0, "rate": 50.0, "duration": None,
+            "window": 8, "shards": 2, "batch_size": 4, "batch_deadline": 0.05,
+            "sync_every": 10.0, "admission_rate": None, "stage": None,
+            "trace": False, "slo": False, "journal": None,
+            "metrics_format": "text", "seed": 0,
+        }

@@ -239,7 +239,7 @@ class TestWriteAheadLog:
 
     def test_crc_corruption_stops_read(self, tmp_path):
         rng = np.random.default_rng(4)
-        wal = WriteAheadLog(tmp_path / "wal", compression_level=0)
+        wal = WriteAheadLog(tmp_path / "wal")
         for step in range(3):
             wal.log_apply([_update(rng, pull_step=0)], clock=step, batched=False)
         wal.close()
@@ -249,6 +249,30 @@ class TestWriteAheadLog:
         segment.write_bytes(bytes(data))
         assert [r.seq for r in read_records(tmp_path / "wal")] == [0, 1]
         assert wal_summary(tmp_path / "wal")["intact"] is False
+
+    def test_reads_zlib_bodies_from_earlier_builds(self, tmp_path):
+        # Earlier builds could deflate record bodies (flag bit 1); the
+        # appender writes raw now, but such logs must still restore.
+        rng = np.random.default_rng(6)
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.log_apply(
+            [_update(rng, pull_step=0) for _ in range(2)], clock=0, batched=True
+        )
+        wal.close()
+        (original,) = read_records(tmp_path / "wal")
+        segment = sorted((tmp_path / "wal").glob("wal-*.seg"))[0]
+        raw = segment.read_bytes()
+        payload = raw[12:]  # magic, then u32 length | u32 crc
+        header = bytearray(payload[:28])
+        header[1] |= 2
+        deflated = bytes(header) + zlib.compress(payload[28:], 6)
+        frame = np.array([len(deflated), zlib.crc32(deflated)], dtype="<u4")
+        segment.write_bytes(raw[:4] + frame.tobytes() + deflated)
+        (record,) = read_records(tmp_path / "wal")
+        assert record.batched
+        np.testing.assert_array_equal(record.gradients, original.gradients)
+        np.testing.assert_array_equal(record.pull_steps, original.pull_steps)
+        np.testing.assert_array_equal(record.label_counts, original.label_counts)
 
     def test_summary_counts(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -270,8 +294,6 @@ class TestWriteAheadLog:
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             WriteAheadLog(tmp_path / "wal", segment_max_bytes=0)
-        with pytest.raises(ValueError):
-            WriteAheadLog(tmp_path / "wal", compression_level=11)
 
 
 # ----------------------------------------------------------------------
@@ -453,10 +475,6 @@ class TestCrashRestoreProperty:
             DurabilitySpec(root_dir=tmp_path, checkpoint_every_updates=0)
         with pytest.raises(ValueError):
             DurabilitySpec(root_dir=tmp_path, detector_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            DurabilitySpec(root_dir=tmp_path, keep_checkpoints=0)
-        with pytest.raises(ValueError):
-            DurabilitySpec(root_dir=tmp_path, compression_level=10)
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +517,7 @@ def _result(worker_id: int, pull_step: int, seed: int = 0) -> TaskResult:
 def _durable_gateway(tmp_path, **spec_kwargs) -> Gateway:
     spec_kwargs.setdefault("checkpoint_every_updates", 5)
     spec_kwargs.setdefault("detector_timeout_s", 10.0)
-    return Gateway.from_factory(
+    return Gateway.from_spec(
         4,
         lambda i: _server(make_fedavg(np.zeros(DIM), learning_rate=0.1)),
         GatewayConfig(batch_size=2, batch_deadline_s=1.0, sync_every_s=1e9),
@@ -603,7 +621,7 @@ class TestGatewayFailover:
             gateway.crash_shard("no-such-shard")
 
     def test_crash_needs_durability(self):
-        gateway = Gateway.from_factory(
+        gateway = Gateway.from_spec(
             2,
             lambda i: _server(make_fedavg(np.zeros(DIM))),
             GatewayConfig(batch_size=1),
@@ -737,5 +755,3 @@ class TestDurabilityPlumbing:
 
         with pytest.raises(ValueError):
             FleetSimConfig(crash_shard_at_s=-1.0)
-        with pytest.raises(ValueError):
-            FleetSimConfig(crash_shard="shard-0")  # needs a crash time

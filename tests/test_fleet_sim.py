@@ -11,6 +11,7 @@ from repro.nn.models import build_logistic
 from repro.profiler.coldstart import collect_offline_dataset
 from repro.profiler.iprof import IProf, SLO
 from repro.server.server import FleetServer
+from repro.server.stages import SparseUploadDecodeStage
 from repro.simulation.fleet_sim import FleetSimConfig, FleetSimulation
 
 
@@ -19,6 +20,7 @@ def _build_simulation(
     rng,
     num_users: int = 8,
     config: FleetSimConfig | None = None,
+    sparse_fraction: float | None = None,
 ) -> FleetSimulation:
     from repro.devices.catalog import fleet_specs
     from repro.devices.device import SimulatedDevice
@@ -44,6 +46,11 @@ def _build_simulation(
         ),
         profiler=iprof,
         slo=SLO(time_seconds=3.0),
+        result_stages=(
+            (SparseUploadDecodeStage(fraction=sparse_fraction),)
+            if sparse_fraction is not None
+            else ()
+        ),
     )
     partition = iid_split(tiny_dataset.train_y, num_users, rng)
     return FleetSimulation(
@@ -221,9 +228,9 @@ class TestActivityGating:
 class TestUploadSparsification:
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):
-            FleetSimConfig(sparsify_fraction=0.0)
+            SparseUploadDecodeStage(fraction=0.0)
         with pytest.raises(ValueError):
-            FleetSimConfig(sparsify_fraction=1.5)
+            SparseUploadDecodeStage(fraction=1.5)
 
     def test_sparsified_uploads_cut_network_time(self, tiny_dataset):
         dense = _build_simulation(
@@ -232,29 +239,28 @@ class TestUploadSparsification:
         ).run()
         sparse = _build_simulation(
             tiny_dataset, np.random.default_rng(21),
-            config=FleetSimConfig(
-                horizon_s=900.0, mean_think_time_s=30.0, sparsify_fraction=0.05,
-            ),
+            config=FleetSimConfig(horizon_s=900.0, mean_think_time_s=30.0),
+            sparse_fraction=0.05,
         ).run()
         assert np.median(sparse.network_seconds) < np.median(dense.network_seconds)
 
     def test_error_feedback_preserves_learning(self, tiny_dataset):
         config = FleetSimConfig(
-            horizon_s=5400.0, mean_think_time_s=10.0, sparsify_fraction=0.1,
-            eval_every_updates=50,
+            horizon_s=5400.0, mean_think_time_s=10.0, eval_every_updates=50,
         )
         sim = _build_simulation(
             tiny_dataset, np.random.default_rng(4), num_users=6, config=config,
+            sparse_fraction=0.1,
         )
         result = sim.run()
         chance = 1.0 / tiny_dataset.num_classes
         assert result.final_accuracy() > chance + 0.15
 
     def test_compressor_state_is_per_worker(self, tiny_dataset, rng):
-        config = FleetSimConfig(
-            horizon_s=600.0, mean_think_time_s=30.0, sparsify_fraction=0.1,
+        config = FleetSimConfig(horizon_s=600.0, mean_think_time_s=30.0)
+        sim = _build_simulation(
+            tiny_dataset, rng, config=config, sparse_fraction=0.1
         )
-        sim = _build_simulation(tiny_dataset, rng, config=config)
         assert sim._compressors is not None
         assert len(sim._compressors) == len(sim.participants)
         sim.run()
@@ -273,10 +279,12 @@ class TestUploadSparsification:
         from repro.server.sparsification import ErrorFeedbackCompressor
 
         config = FleetSimConfig(
-            horizon_s=1200.0, mean_think_time_s=20.0,
-            abort_probability=0.7, sparsify_fraction=0.1,
+            horizon_s=1200.0, mean_think_time_s=20.0, abort_probability=0.7,
         )
-        sim = _build_simulation(tiny_dataset, np.random.default_rng(13), config=config)
+        sim = _build_simulation(
+            tiny_dataset, np.random.default_rng(13), config=config,
+            sparse_fraction=0.1,
+        )
 
         restored: list[int] = []
         original_restore = ErrorFeedbackCompressor.restore

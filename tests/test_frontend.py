@@ -13,6 +13,7 @@ zero acked loss (§7.3), and graceful drain (§8).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import tracemalloc
 import zlib
 
@@ -82,7 +83,7 @@ def _gateway(**config_kwargs) -> Gateway:
     config_kwargs.setdefault("batch_size", 1)
     config_kwargs.setdefault("batch_deadline_s", 1e9)
     config_kwargs.setdefault("sync_every_s", 1e9)
-    return Gateway.from_factory(
+    return Gateway.from_spec(
         2,
         lambda i: FleetServer(
             make_fedavg(np.zeros(DIM), learning_rate=0.1),
@@ -383,6 +384,20 @@ class TestHandshake:
         assert error.code == ErrorCode.MALFORMED_FRAME
         assert frontend.gateway.results_received() == 0
         assert peak <= 2 * (framing.FRAME_HEADER.size + len(body))
+
+    def test_zero_batch_size_result_is_malformed(self):
+        """``batch_size`` MUST be ≥ 1 (docs/protocol.md §5.6): a zero is
+        refused as MALFORMED_FRAME and never counted by the gateway."""
+        frontend = DeviceFrontend(_gateway(), clock=lambda: 0.0)
+        conn, stub = _conn(frontend)
+        assert _dispatch_all(conn, _result_frame(1)) is True
+        assert [f[0] for f in stub.frames()] == [FrameType.RESULT_ACK]
+        assert frontend.gateway.results_received() == 1
+        bad = dataclasses.replace(_result(), batch_size=0)
+        assert _dispatch_all(conn, framing.pack_result(2, bad, CODEC)) is False
+        error = framing.unpack_error(stub.frames()[0][2])
+        assert error.code == ErrorCode.MALFORMED_FRAME == 3
+        assert frontend.gateway.results_received() == 1
 
 
 # ---------------------------------------------------------------------------

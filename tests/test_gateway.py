@@ -71,7 +71,7 @@ def _fedavg_shard(learning_rate: float = 0.1) -> FleetServer:
 
 
 def _gateway(num_shards: int, **config_kwargs) -> Gateway:
-    return Gateway.from_factory(
+    return Gateway.from_spec(
         num_shards,
         lambda i: _fedavg_shard(),
         GatewayConfig(**config_kwargs),
@@ -424,7 +424,7 @@ class TestProfilerFeedback:
             )
 
         def run(bad_upload: bool) -> tuple[Gateway, int]:
-            gateway = Gateway.from_factory(1, shard, GatewayConfig(batch_size=1))
+            gateway = Gateway.from_spec(1, shard, GatewayConfig(batch_size=1))
             results = [
                 dataclasses.replace(
                     _result(i, np.ones(DIM)), computation_time_s=0.2 + 0.05 * i
@@ -464,7 +464,7 @@ class TestThroughputAccounting:
         rng = np.random.default_rng(9)
 
         def drive(num_shards: int, batch_size: int) -> float:
-            gateway = Gateway.from_factory(
+            gateway = Gateway.from_spec(
                 num_shards,
                 lambda i: _fedavg_shard(),
                 GatewayConfig(batch_size=batch_size, batch_deadline_s=1e9),
@@ -525,7 +525,7 @@ class TestShardRetirement:
         assert gateway.batcher.pending("shard-1") == 0
 
     def test_scale_down_drains_lanes_and_reroutes(self):
-        gateway = Gateway.from_factory(
+        gateway = Gateway.from_spec(
             2,
             lambda i: _fedavg_shard(),
             GatewayConfig(batch_size=100, batch_deadline_s=1e9, sync_every_s=1e9),
@@ -554,7 +554,7 @@ class TestShardRetirement:
     def test_scale_down_with_async_runtime_keeps_lanes_consistent(self):
         from repro.gateway import RuntimeSpec
 
-        gateway = Gateway.from_factory(
+        gateway = Gateway.from_spec(
             3,
             lambda i: _fedavg_shard(),
             GatewayConfig(batch_size=4, batch_deadline_s=1e9, sync_every_s=1e9),
@@ -672,7 +672,7 @@ class TestStoredBlockIngest:
 
     @classmethod
     def _wide_gateway(cls, batch_size: int, **kwargs) -> Gateway:
-        return Gateway.from_factory(
+        return Gateway.from_spec(
             2,
             lambda i: FleetServer(
                 make_fedavg(np.zeros(cls.WIDE), learning_rate=0.1),
@@ -740,7 +740,7 @@ class TestEverySubsystemAttached:
         )
 
     def _run(self, root) -> Gateway:
-        gateway = Gateway.from_factory(
+        gateway = Gateway.from_spec(
             2,
             lambda i: _fedavg_shard(),
             GatewayConfig(batch_size=4, batch_deadline_s=1.0, sync_every_s=15.0),
@@ -802,3 +802,71 @@ class TestEverySubsystemAttached:
         assert tracer.started > 0
         assert tracer.collector.finished + tracer.dropped == tracer.started
         assert first.results_applied == first.results_received()
+
+
+class TestHostileResults:
+    """A malformed or lying upload must not take its batch-mates down."""
+
+    @staticmethod
+    def _lease(gateway: Gateway, worker_id: int, now: float) -> TaskAssignment:
+        request = TaskRequest(
+            worker_id=worker_id,
+            device_model="Galaxy S7",
+            features=_features(),
+            label_counts=np.ones(NUM_LABELS),
+        )
+        assignment = gateway.handle_request(request, now=now)
+        assert isinstance(assignment, TaskAssignment)
+        return assignment
+
+    def test_zero_batch_size_is_refused_before_it_is_counted(self):
+        gateway = _gateway(1, batch_size=2, batch_deadline_s=1e9, sync_every_s=1e9)
+        rng = np.random.default_rng(3)
+        gateway.handle_result(_result(2, rng.normal(size=DIM)), now=0.0)
+        bad = dataclasses.replace(_result(1, rng.normal(size=DIM)), batch_size=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            gateway.handle_result(bad, now=1.0)
+        assert gateway.results_received() == 1
+        gateway.finalize(now=2.0)
+        # The honest upload sharing the lane is applied.
+        assert gateway.results_applied == gateway.results_received() == 1
+        assert gateway.clock == 1
+
+    def _lying_and_honest(self, gateway: Gateway) -> str:
+        """A leased worker claims pull_step 10**6 and an honest one sends
+        its lease's pull_step; both land in one micro-batch."""
+        liar, honest = 1, 2
+        assert gateway.shard_for(liar) == gateway.shard_for(honest)
+        self._lease(gateway, liar, now=0.0)
+        lease = self._lease(gateway, honest, now=0.0)
+        rng = np.random.default_rng(4)
+        gateway.handle_result(
+            _result(liar, rng.normal(size=DIM), pull_step=10**6), now=1.0
+        )
+        gateway.handle_result(
+            _result(honest, rng.normal(size=DIM), pull_step=lease.pull_step),
+            now=1.0,
+        )
+        return gateway.shard_for(liar)
+
+    def test_leased_pull_step_past_the_clock_is_clamped(self):
+        gateway = _gateway(1, batch_size=2, batch_deadline_s=1e9, sync_every_s=1e9)
+        shard_id = self._lying_and_honest(gateway)
+        gateway.finalize(now=2.0)
+        assert gateway.results_applied == gateway.results_received() == 2
+        staleness = gateway.shards[shard_id].applied_staleness()
+        assert staleness.size == 2 and (staleness >= 0).all()
+
+    def test_clamped_batch_survives_crash_and_failover(self, tmp_path):
+        gateway = Gateway.from_spec(
+            1,
+            lambda i: _fedavg_shard(),
+            GatewayConfig(batch_size=2, batch_deadline_s=1e9, sync_every_s=1e9),
+            durability=DurabilitySpec(root_dir=tmp_path, auto_failover=False),
+        )
+        shard_id = self._lying_and_honest(gateway)
+        gateway.crash_shard(shard_id, now=2.0)
+        gateway.failover(shard_id, now=3.0)
+        gateway.finalize(now=4.0)
+        assert gateway.results_applied == gateway.results_received() == 2
+        assert gateway.clock == 1

@@ -131,8 +131,6 @@ class TestSampling:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ObservabilitySpec(sample_rate=1.5)
-        with pytest.raises(ValueError):
-            ObservabilitySpec(max_traces=0)
 
 
 # ----------------------------------------------------------------------

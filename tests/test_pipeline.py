@@ -376,7 +376,7 @@ class TestStackedThroughFleetSimulation:
         sim, server = _sim_through_builder(
             tiny_dataset, rng, lambda b: b.sparse_uploads(fraction=0.1)
         )
-        assert sim._ship_sparse
+        assert sim._compressors is not None
         result = sim.run()
         stage = server.find_result_stage(SparseUploadDecodeStage)
         assert stage.decoded == result.completed > 0

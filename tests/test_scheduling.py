@@ -358,7 +358,7 @@ class TestDeadlineAwareRouter:
 class TestGatewayIntegration:
     def _deadline_gateway(self, num_shards=3, **spec_kwargs):
         spec_kwargs.setdefault("straggler_factor", 1.5)
-        return Gateway.from_factory(
+        return Gateway.from_spec(
             num_shards,
             lambda i: _fedavg_shard(),
             GatewayConfig(batch_size=1),
@@ -411,7 +411,7 @@ class TestGatewayIntegration:
 
     def test_hash_equivalent_when_all_devices_fast(self):
         def drive(policy: str) -> Gateway:
-            gateway = Gateway.from_factory(
+            gateway = Gateway.from_spec(
                 3,
                 lambda i: _fedavg_shard(),
                 GatewayConfig(batch_size=4, batch_deadline_s=5.0,
@@ -477,7 +477,7 @@ class TestGatewayIntegration:
             assert gateway.shard_for(worker) in gateway.shards
 
     def test_sync_mode_routing_without_async_runtime(self):
-        gateway = Gateway.from_factory(
+        gateway = Gateway.from_spec(
             2,
             lambda i: _fedavg_shard(),
             GatewayConfig(batch_size=1),
@@ -532,7 +532,7 @@ class TestGatewayIntegration:
     def test_shard_load_prefers_quiet_lanes(self):
         from repro.runtime import AggregationCostModel
 
-        gateway = Gateway.from_factory(
+        gateway = Gateway.from_spec(
             2,
             lambda i: _fedavg_shard(),
             GatewayConfig(batch_size=1, hash_replicas=16),
@@ -552,7 +552,7 @@ class TestGatewayIntegration:
     def test_shard_load_counts_a_batch_once(self):
         from repro.runtime import AggregationCostModel
 
-        gateway = Gateway.from_factory(
+        gateway = Gateway.from_spec(
             2,
             lambda i: _fedavg_shard(),
             GatewayConfig(batch_size=1, hash_replicas=16),

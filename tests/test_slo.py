@@ -21,6 +21,7 @@ from repro.devices.device import DeviceFeatures
 from repro.durability import DurabilitySpec
 from repro.gateway import Gateway, GatewayConfig
 from repro.observability import EventJournal, SLOEngine, SLOSpec, SLOTracker
+from repro.observability.slo import FIRE_BURN_RATE, LATENCY_OBJECTIVE
 from repro.profiler import IProf, SLO
 from repro.runtime import AggregationCostModel
 from repro.server import FleetServer
@@ -93,21 +94,16 @@ def _drive(gateway: Gateway, uploads: int = 200, workers: int = 8) -> None:
 class TestSLOSpec:
     def test_defaults_are_valid(self):
         spec = SLOSpec()
-        assert spec.latency_objective == 0.95
+        assert LATENCY_OBJECTIVE == 0.95
         assert spec.slow_window_s > spec.fast_window_s
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"latency_objective": 0.0},
-            {"latency_objective": 1.0},
-            {"availability_objective": 1.5},
             {"latency_bound_s": 0.0},
             {"staleness_bound": -1.0},
             {"fast_window_s": 0.0},
             {"slow_window_s": 300.0, "fast_window_s": 300.0},
-            {"fire_burn_rate": 1.0, "resolve_burn_rate": 1.0},
-            {"resolve_burn_rate": 0.0},
             {"evaluate_every_s": 0.0},
             {"evaluate_every_s": 400.0, "fast_window_s": 300.0},
         ],
@@ -198,8 +194,8 @@ class TestAlertHysteresis:
         # burns hot but the slow window still confirms nothing.
         sli.add(good=0.0, bad=100.0)
         statuses = engine.evaluate(40.0)
-        assert statuses["latency"].burn_rate_fast >= _SPEC.fire_burn_rate
-        assert statuses["latency"].burn_rate_slow < _SPEC.fire_burn_rate
+        assert statuses["latency"].burn_rate_fast >= FIRE_BURN_RATE
+        assert statuses["latency"].burn_rate_slow < FIRE_BURN_RATE
         assert not statuses["latency"].firing
         assert engine.active_alerts() == ()
 
@@ -225,7 +221,7 @@ class TestAlertHysteresis:
         assert kinds == ["alert_fire", "alert_resolve"]
         fire, resolve = journal.to_dicts()
         assert fire["slo"] == "latency"
-        assert fire["burn_rate_fast"] >= _SPEC.fire_burn_rate
+        assert fire["burn_rate_fast"] >= FIRE_BURN_RATE
         assert resolve["duration_s"] > 0
 
     def test_no_refire_while_active(self):
@@ -346,7 +342,7 @@ class TestGatewayIntegration:
 # Health surface
 # ----------------------------------------------------------------------
 def _durable_gateway(tmp_path, shards: int = 3) -> Gateway:
-    return Gateway.from_factory(
+    return Gateway.from_spec(
         shards,
         lambda i: FleetServer(
             make_fedavg(np.zeros(DIM), learning_rate=0.05),
