@@ -24,6 +24,7 @@ from repro.durability.spec import DurabilitySpec
 from repro.durability.wal import (
     WalRecord,
     WriteAheadLog,
+    iter_records,
     read_records,
     wal_summary,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "DurabilitySpec",
     "WriteAheadLog",
     "WalRecord",
+    "iter_records",
     "read_records",
     "wal_summary",
     "CheckpointStore",

@@ -249,9 +249,10 @@ class DurabilityManager:
     def restore(self, shard_id: str, server, now: float = 0.0) -> RestoreReport:
         """Failover: rebuild a shard's state onto ``server`` and rearm it.
 
-        ``server`` must be factory-fresh with no WAL attached; after the
-        replay the same WAL directory is reopened (appends resume at the
-        next sequence) and a post-restore checkpoint bounds the next
+        ``server`` must be factory-fresh with no WAL attached; the WAL
+        tail is streamed into it one record at a time, then the same WAL
+        directory is reopened by a header-only scan (appends resume at
+        the next sequence) and a post-restore checkpoint bounds the next
         recovery's replay tail.  The detector counts the restore as the
         shard's first beat back.
         """

@@ -34,6 +34,16 @@ directory truncates any torn tail to its intact prefix: readers stop at
 the first torn record, so a torn byte range left in place would hide
 every record appended after recovery from the *next* recovery.
 
+**Reading.**  Every reader goes through one frame scanner
+(``_SegmentScan``), which reads a segment one record at a time,
+CRC-checks each payload and stops at the first tear.  Bodies are
+decoded only on request: reopening a log (to truncate a torn tail and
+learn ``next_seq``) and :func:`wal_summary` read headers alone, and
+:func:`iter_records` decodes just the records at or past its
+``start_seq``.  Reopen, restore and inspection therefore hold one frame
+(plus the record being handed out) at a time, however long the log has
+grown; only :func:`read_records`, for tests and tooling, lists a tail.
+
 **Rotation.**  When the open segment exceeds ``segment_max_bytes`` the
 next record starts a new file named after its first sequence number
 (``wal-00000042.seg``), so readers recover global order from file names
@@ -42,11 +52,14 @@ alone and checkpoint-driven truncation can drop whole prefix segments.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +68,7 @@ from repro.core.adasgd import GradientUpdate
 __all__ = [
     "WalRecord",
     "WriteAheadLog",
+    "iter_records",
     "read_records",
     "wal_summary",
 ]
@@ -69,15 +83,24 @@ _KIND_PARAMS = 2
 _FLAG_BATCHED = 1
 _FLAG_ZLIB = 2
 _SEGMENT_GLOB = "wal-*.seg"
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def _writev_all(fd: int, buffers: tuple, total: int) -> None:
     """Write every buffer to ``fd``, finishing a partial writev if any.
 
+    The kernel refuses a writev of more than ``IOV_MAX`` buffers, and a
+    large delivery (2B + 5 buffers for B rows) can exceed it, so longer
+    tuples go out in ``IOV_MAX``-sized groups — same bytes, same order.
     Regular-file writev is effectively all-or-nothing on Linux, but the
     contract only promises *some* bytes — fall back to a plain tail
     write for the remainder rather than leave a torn record behind.
     """
+    if len(buffers) > _IOV_MAX:
+        for start in range(0, len(buffers), _IOV_MAX):
+            group = buffers[start : start + _IOV_MAX]
+            _writev_all(fd, group, sum(memoryview(part).nbytes for part in group))
+        return
     written = os.writev(fd, buffers)
     if written == total:
         return
@@ -167,10 +190,7 @@ class WriteAheadLog:
         self._segment_path: Path | None = None
         self._segment_size = 0
         self.records_written = 0
-        self._truncate_torn_tail()
-        self.next_seq = 0
-        for record in read_records(self.directory):
-            self.next_seq = record.seq + 1
+        self.next_seq = self._resume()
 
     # ------------------------------------------------------------------
     # Appending
@@ -323,30 +343,34 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _truncate_torn_tail(self) -> None:
-        """Cut a crash's half-written record out of the on-disk log.
+    def _resume(self) -> int:
+        """Scan the on-disk log once, by headers; return the next sequence.
 
+        The same pass cuts a crash's half-written record out of the log.
         Appends after recovery land in a fresh segment, but readers stop
         at the first torn record — a torn byte range left behind would
         permanently hide everything appended after it.  Truncating the
         torn segment to its intact prefix (and dropping any segments
         past the tear) restores the invariant that every byte on disk is
-        a fully framed record.
+        a fully framed record.  No record body is decoded.
         """
-        paths = sorted(self.directory.glob(_SEGMENT_GLOB))
+        next_seq = 0
+        paths = _segments(self.directory)
         for index, path in enumerate(paths):
-            records: list[WalRecord] = []
-            intact, end = _read_segment(path, records)
-            if intact:
+            scan = _SegmentScan(path)
+            for frame in scan:
+                next_seq = frame.seq + 1
+            if scan.intact:
                 continue
-            if end >= len(_MAGIC):
+            if scan.end >= len(_MAGIC):
                 with open(path, "r+b") as handle:
-                    handle.truncate(end)
+                    handle.truncate(scan.end)
             else:
                 path.unlink()  # not even a valid magic: not a segment
             for stale in paths[index + 1 :]:
                 stale.unlink()
             break
+        return next_seq
 
     def sync(self) -> None:
         """Flush (and fsync) the open segment."""
@@ -361,69 +385,101 @@ class WriteAheadLog:
             self._handle = None
 
 
-def _read_segment(path: Path, out: list[WalRecord]) -> tuple[bool, int]:
-    """Decode one segment into ``out``.
+class _Frame(NamedTuple):
+    """One CRC-verified record as the scanner sees it: the header fields
+    and the body bytes exactly as framed (still encoded; :func:`_decode`
+    turns them into a :class:`WalRecord`)."""
 
-    Returns ``(intact, offset)`` where ``offset`` is the end of the
-    intact record prefix — the truncation point when ``intact`` is
-    False (a torn or corrupt tail stopped the read there).
+    kind: int
+    flags: int
+    count: int
+    dim: int
+    num_labels: int
+    seq: int
+    clock: int
+    body: np.ndarray
+
+
+class _SegmentScan:
+    """Iterate one segment's intact records, one frame at a time.
+
+    Every payload is CRC-checked before its frame is yielded, and the
+    scan stops at the first torn or corrupt record.  Only the frame in
+    hand is held in memory, never the segment.  ``end`` is the offset
+    just past the last intact record so far — once the scan stops, the
+    truncation point of a torn segment (0 when the magic is missing) —
+    and ``intact`` says whether it reached a clean end of file.
     """
-    data = path.read_bytes()
-    if len(data) < len(_MAGIC) or data[: len(_MAGIC)] != _MAGIC:
-        return False, 0
-    offset = len(_MAGIC)
-    while offset + _FRAME.size <= len(data):
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        end = start + length
-        if end > len(data):
-            return False, offset  # torn tail: the append never completed
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            return False, offset  # corrupt tail: stop at the last intact record
-        out.append(_decode_payload(payload))
-        offset = end
-    return offset == len(data), offset
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.intact = False
+        self.end = 0
+
+    def __iter__(self) -> Iterator[_Frame]:
+        with open(self.path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if handle.read(len(_MAGIC)) != _MAGIC:
+                return
+            offset = self.end = len(_MAGIC)
+            while offset < size:
+                prefix = handle.read(_FRAME.size + _HEADER.size)
+                if len(prefix) < _FRAME.size + _HEADER.size:
+                    return  # torn tail: the append never completed
+                length, crc = _FRAME.unpack_from(prefix)
+                end = offset + _FRAME.size + length
+                # Checked against the file size before anything is
+                # allocated, so a corrupt length never sizes a buffer.
+                if length < _HEADER.size or end > size:
+                    return
+                body = np.empty(length - _HEADER.size, dtype=np.uint8)
+                if handle.readinto(body) != body.size:
+                    return
+                if zlib.crc32(body, zlib.crc32(prefix[_FRAME.size :])) != crc:
+                    return  # corrupt tail: stop at the last intact record
+                offset = self.end = end
+                yield _Frame(*_HEADER.unpack_from(prefix, _FRAME.size), body)
+            self.intact = True
 
 
-def _decode_payload(payload: bytes) -> WalRecord:
-    kind, flags, count, dim, num_labels, seq, clock = _HEADER.unpack_from(
-        payload, 0
-    )
-    body = payload[_HEADER.size :]
-    if flags & _FLAG_ZLIB:
+def _segments(directory: Path) -> list[Path]:
+    return sorted(directory.glob(_SEGMENT_GLOB))
+
+
+def _decode(frame: _Frame) -> WalRecord:
+    """Decode one frame's body into owned arrays (the body can be freed)."""
+    body = frame.body
+    if frame.flags & _FLAG_ZLIB:
         body = zlib.decompress(body)
-    if kind == _KIND_PARAMS:
-        parameters = np.frombuffer(body, dtype=np.float64, count=dim)
+    count, dim, num_labels = frame.count, frame.dim, frame.num_labels
+    if frame.kind == _KIND_PARAMS:
         return WalRecord(
             kind="params",
-            seq=seq,
-            clock=clock,
-            parameters=parameters,
+            seq=frame.seq,
+            clock=frame.clock,
+            parameters=np.frombuffer(body, dtype=np.float64, count=dim).copy(),
         )
     offset = 0
 
-    def take(dtype, n):
+    def take(dtype, *shape):
+        # Copied after the reshape, so each array owns its buffer: the
+        # gradient rows share one 2-D base for ``stack_gradients``.
         nonlocal offset
-        arr = np.frombuffer(body, dtype=dtype, count=n, offset=offset)
+        arr = np.frombuffer(body, dtype=dtype, count=math.prod(shape), offset=offset)
         offset += arr.nbytes
-        return arr
+        return arr.reshape(shape).copy()
 
-    gradients = take(np.float64, count * dim).reshape(count, dim).copy()
+    gradients = take(np.float64, count, dim)
     pull_steps = take(np.int64, count)
     worker_ids = take(np.float64, count)
     batch_sizes = take(np.int64, count)
     has_counts = take(np.bool_, count)
-    label_counts = (
-        take(np.float64, count * num_labels).reshape(count, num_labels)
-        if num_labels
-        else None
-    )
+    label_counts = take(np.float64, count, num_labels) if num_labels else None
     return WalRecord(
         kind="apply",
-        seq=seq,
-        clock=clock,
-        batched=bool(flags & _FLAG_BATCHED),
+        seq=frame.seq,
+        clock=frame.clock,
+        batched=bool(frame.flags & _FLAG_BATCHED),
         gradients=gradients,
         pull_steps=pull_steps,
         worker_ids=worker_ids,
@@ -433,58 +489,83 @@ def _decode_payload(payload: bytes) -> WalRecord:
     )
 
 
+def iter_records(
+    directory: str | Path, start_seq: int = 0
+) -> Iterator[WalRecord]:
+    """Stream every intact record with ``seq >= start_seq``, in order.
+
+    One record is decoded at a time, and only records at or past
+    ``start_seq`` are decoded at all; earlier ones are CRC-checked and
+    skipped.  Reading stops at the first torn or corrupt record (crash
+    artifact), exactly where :func:`read_records` stops.
+    """
+    for path in _segments(Path(directory)):
+        scan = _SegmentScan(path)
+        for frame in scan:
+            if frame.seq >= start_seq:
+                yield _decode(frame)
+        if not scan.intact:
+            return
+
+
 def read_records(
     directory: str | Path, start_seq: int = 0
 ) -> list[WalRecord]:
     """Decode every intact record with ``seq >= start_seq``, in order.
 
     Reading stops at the first torn or corrupt record (crash artifact);
-    everything before it is returned.
+    everything before it is returned.  Holds the whole tail in memory —
+    restore streams through :func:`iter_records` instead.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    records: list[WalRecord] = []
-    for path in sorted(directory.glob(_SEGMENT_GLOB)):
-        intact, _ = _read_segment(path, records)
-        if not intact:
-            break
-    return [record for record in records if record.seq >= start_seq]
+    return list(iter_records(directory, start_seq))
 
 
 def wal_summary(directory: str | Path) -> dict:
-    """Segment-level summary of one WAL directory (``repro wal-inspect``)."""
+    """Segment-level summary of one WAL directory (``repro wal-inspect``).
+
+    Built from record headers alone: every payload is still CRC-checked,
+    but no body is decoded, so inspecting a log costs one frame of
+    memory whatever its length.
+    """
     directory = Path(directory)
     segments = []
-    records: list[WalRecord] = []
+    records = applied = results = 0
+    last_clock = None
     intact = True
-    for path in sorted(directory.glob(_SEGMENT_GLOB)):
-        before = len(records)
-        intact, _ = _read_segment(path, records)
-        segment_records = records[before:]
+    for path in _segments(directory):
+        scan = _SegmentScan(path)
+        first_seq = last_seq = None
+        segment_records = 0
+        for frame in scan:
+            if first_seq is None:
+                first_seq = frame.seq
+            last_seq = frame.seq
+            last_clock = frame.clock
+            segment_records += 1
+            if frame.kind != _KIND_PARAMS:
+                applied += 1
+                results += frame.count
+        records += segment_records
+        intact = scan.intact
         segments.append(
             {
                 "file": path.name,
                 "bytes": path.stat().st_size,
-                "records": len(segment_records),
-                "first_seq": segment_records[0].seq if segment_records else None,
-                "last_seq": segment_records[-1].seq if segment_records else None,
+                "records": segment_records,
+                "first_seq": first_seq,
+                "last_seq": last_seq,
                 "intact": intact,
             }
         )
         if not intact:
             break
-    applied = sum(1 for r in records if r.kind == "apply")
-    results = sum(
-        r.gradients.shape[0] for r in records if r.kind == "apply"
-    )
     return {
         "directory": str(directory),
         "segments": segments,
-        "records": len(records),
+        "records": records,
         "apply_records": applied,
-        "param_records": len(records) - applied,
+        "param_records": records - applied,
         "results_logged": results,
-        "last_clock": records[-1].clock if records else None,
+        "last_clock": last_clock,
         "intact": intact,
     }

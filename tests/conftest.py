@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import tracemalloc
 import zlib
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -45,3 +48,32 @@ def deflate_bomb() -> bytes:
     deflater = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
     chunk = bytes(1 << 20)
     return b"".join(deflater.compress(chunk) for _ in range(256)) + deflater.flush()
+
+
+class TracedMemory:
+    """What :func:`traced_peak` saw: ``current()`` while tracing, and the
+    ``peak`` of traced allocations once the block has exited."""
+
+    peak = 0
+
+    def current(self) -> int:
+        return tracemalloc.get_traced_memory()[0]
+
+
+@contextlib.contextmanager
+def _traced_peak() -> Iterator[TracedMemory]:
+    trace = TracedMemory()
+    tracemalloc.start()
+    try:
+        yield trace
+    finally:
+        trace.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """``with traced_peak() as trace:`` traces Python allocations (numpy
+    buffers included) for the block; ``trace.peak`` is their high-water
+    mark in bytes, counted from the start of the block."""
+    return _traced_peak

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -88,18 +87,15 @@ class TestVectorCodec:
         with pytest.raises(ValueError):  # stream cut before its end marker
             codec.decode(EncodedBlob(payload=blob.payload[:-5], dtype="f32", length=5))
 
-    def test_decompression_bomb_rejected_in_bounded_memory(self, deflate_bomb):
+    def test_decompression_bomb_rejected_in_bounded_memory(
+        self, deflate_bomb, traced_peak
+    ):
         """256 MiB of zeros declared as 4 f32 elements: rejected after
         inflating at most 17 bytes, never materialised."""
         blob = EncodedBlob(payload=deflate_bomb, dtype="f32", length=4)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError):
-                VectorCodec(precision="f32").decode(blob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        with traced_peak() as trace, pytest.raises(ValueError):
+            VectorCodec(precision="f32").decode(blob)
+        assert trace.peak < 1 << 20
 
 
 class TestTransferCostModel:

@@ -10,6 +10,7 @@ The oracle harness mirrors ``tests/test_vectorized_equivalence.py``
 
 from __future__ import annotations
 
+import hashlib
 import json
 import zlib
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import make_adasgd, make_dynsgd, make_fedavg, make_ssgd
-from repro.core.adasgd import GradientUpdate
+from repro.core.adasgd import GradientUpdate, stack_gradients
 from repro.devices.device import DeviceFeatures
 from repro.durability import (
     CheckpointStore,
@@ -174,6 +175,8 @@ class TestWriteAheadLog:
         assert apply.batched is True and apply.clock == 5
         decoded = apply.updates()
         assert len(decoded) == 2
+        # Replay folds the decoded matrix itself, not a restacked copy.
+        assert stack_gradients([u.gradient for u in decoded]) is apply.gradients
         np.testing.assert_array_equal(decoded[0].gradient, updates[0].gradient)
         np.testing.assert_array_equal(
             decoded[0].label_counts, updates[0].label_counts
@@ -294,6 +297,135 @@ class TestWriteAheadLog:
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             WriteAheadLog(tmp_path / "wal", segment_max_bytes=0)
+
+    def test_segment_bytes_pinned(self, tmp_path):
+        """The on-disk format and the append path are frozen: a seeded
+        mix of apply records (every label-histogram framing) and params
+        records hashes to the digest the format was pinned at."""
+        rng = np.random.default_rng(2024)
+        wal = WriteAheadLog(tmp_path / "wal")
+        for step in range(12):
+            if step % 5 == 4:
+                wal.log_parameters(rng.normal(size=DIM), clock=step)
+                continue
+            count = 1 + step % 4
+            updates = [
+                GradientUpdate(
+                    gradient=rng.normal(size=DIM),
+                    pull_step=int(rng.integers(0, step + 1)),
+                    label_counts=(
+                        None
+                        if (step + row) % 3 == 0
+                        else rng.integers(0, 8, size=NUM_LABELS).astype(float)
+                    ),
+                    batch_size=int(rng.integers(1, 9)),
+                    worker_id=None if row == 1 else int(rng.integers(0, 50)),
+                )
+                for row in range(count)
+            ]
+            wal.log_apply(updates, clock=step, batched=count > 1)
+        wal.close()
+        (segment,) = sorted((tmp_path / "wal").glob("wal-*.seg"))
+        assert hashlib.sha256(segment.read_bytes()).hexdigest() == (
+            "fbfca64d1c83353b3d0eea94f9e71ed87308abc425902711b10db96e9e1930f3"
+        )
+
+    def test_delivery_past_iov_max_round_trips(self, tmp_path):
+        """600 rows frame into 2·600 + 5 writev buffers, past Linux's
+        IOV_MAX of 1024: the record still lands whole and bit-exact."""
+        rng = np.random.default_rng(7)
+        updates = [_update(rng, pull_step=0, worker=row) for row in range(600)]
+        wal = WriteAheadLog(tmp_path / "wal")
+        assert wal.log_apply(updates, clock=0, batched=True) == 0
+        wal.log_parameters(rng.normal(size=DIM), clock=600)
+        wal.close()
+        apply, overwrite = read_records(tmp_path / "wal")
+        assert overwrite.seq == 1 and apply.batched
+        np.testing.assert_array_equal(
+            apply.gradients, np.stack([u.gradient for u in updates])
+        )
+        np.testing.assert_array_equal(
+            apply.label_counts, np.stack([u.label_counts for u in updates])
+        )
+        assert apply.worker_ids.tolist() == list(range(600))
+        assert apply.batch_sizes.tolist() == [u.batch_size for u in updates]
+
+
+# ----------------------------------------------------------------------
+# Bounded reads: memory follows the frame, not the log
+# ----------------------------------------------------------------------
+WIDE_DIM = 4096
+WIDE_ROWS = 8
+LOG_RECORDS = 64
+TAIL_RECORDS = 8
+RECORD_BYTES = WIDE_ROWS * WIDE_DIM * 8  # one record's gradient matrix
+
+
+def _wide_server() -> FleetServer:
+    return _server(make_fedavg(np.zeros(WIDE_DIM), learning_rate=0.05))
+
+
+@pytest.fixture
+def wide_log(tmp_path):
+    """A 64-record log of 8×4096 f64 rows (16 MiB of gradients) whose
+    newest checkpoint leaves an 8-record tail, and the live server that
+    wrote it."""
+    rng = np.random.default_rng(64)
+    live = _wide_server()
+    wal = WriteAheadLog(tmp_path / "wal")
+    live.wal = live.optimizer.wal = wal
+    store = CheckpointStore(tmp_path / "ckpt")
+    for index in range(LOG_RECORDS):
+        if index == LOG_RECORDS - TAIL_RECORDS:
+            store.save(live, wal_seq=wal.next_seq)
+        updates = [
+            GradientUpdate(
+                gradient=rng.normal(size=WIDE_DIM),
+                pull_step=0,
+                label_counts=None,
+                batch_size=8,
+                worker_id=row,
+            )
+            for row in range(WIDE_ROWS)
+        ]
+        live._deliver(updates, batched=True)
+    wal.close()
+    return tmp_path, live
+
+
+class TestBoundedReads:
+    """Reopen, restore and inspection each peak at a few records' worth
+    of traced memory on a 64-record log; reading the log whole would
+    cost over 64."""
+
+    def test_reopen_reads_headers_only(self, wide_log, traced_peak):
+        root, _ = wide_log
+        with traced_peak() as trace:
+            wal = WriteAheadLog(root / "wal")
+        wal.close()
+        assert wal.next_seq == LOG_RECORDS
+        assert trace.peak <= TAIL_RECORDS * RECORD_BYTES
+
+    def test_restore_streams_the_tail(self, wide_log, traced_peak):
+        root, live = wide_log
+        restored = _wide_server()
+        store = CheckpointStore(root / "ckpt")
+        with traced_peak() as trace:
+            report = restore_shard(restored, store, root / "wal")
+        assert report.checkpoint_wal_seq == LOG_RECORDS - TAIL_RECORDS
+        assert report.replayed_records == TAIL_RECORDS
+        assert report.replayed_results == TAIL_RECORDS * WIDE_ROWS
+        _assert_bit_identical(restored, live)
+        assert trace.peak <= TAIL_RECORDS * RECORD_BYTES
+
+    def test_summary_reads_headers_only(self, wide_log, traced_peak):
+        root, _ = wide_log
+        with traced_peak() as trace:
+            summary = wal_summary(root / "wal")
+        assert summary["records"] == LOG_RECORDS
+        assert summary["results_logged"] == LOG_RECORDS * WIDE_ROWS
+        assert summary["intact"] is True
+        assert trace.peak <= TAIL_RECORDS * RECORD_BYTES
 
 
 # ----------------------------------------------------------------------
@@ -612,6 +744,21 @@ class TestGatewayFailover:
         # Parked results are redelivered after the restore, so the live
         # clock may already be past the replayed one.
         assert gateway.shards[victim].clock >= report.final_clock
+
+    def test_failover_redelivers_past_iov_max(self, tmp_path):
+        """600 results parked for one crashed shard are redelivered as
+        one batch — one WAL record past IOV_MAX buffers — and every one
+        of those acked uploads still reaches the model."""
+        gateway = _durable_gateway(tmp_path, auto_failover=False)
+        _round(gateway, now=0.0, workers=range(16))
+        victim = sorted(gateway.shards)[0]
+        worker = next(w for w in range(1000) if gateway.shard_for(w) == victim)
+        gateway.crash_shard(victim, now=1.0)
+        for index in range(600):
+            gateway.handle_result(_result(worker, 0, seed=index), now=2.0)
+        gateway.failover(victim, now=3.0)
+        gateway.finalize(now=4.0)
+        assert gateway.results_applied == gateway.results_received()
 
     def test_failover_requires_a_crash(self, tmp_path):
         gateway = _durable_gateway(tmp_path)

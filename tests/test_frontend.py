@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -362,7 +361,7 @@ class TestHandshake:
         assert error.code == ErrorCode.MALFORMED_FRAME
         assert frontend.gateway.results_received() == 0
 
-    def test_declared_length_never_sizes_a_buffer(self):
+    def test_declared_length_never_sizes_a_buffer(self, traced_peak):
         """A RESULT declaring 2**30 f32 (not the model's D) is refused as
         MALFORMED_FRAME before its payload is inflated (docs/protocol.md
         §3.3): the peak allocation stays within twice the frame."""
@@ -373,17 +372,13 @@ class TestHandshake:
         payload = zlib.compress(bytes(16 << 20))  # 16 MiB of zeros
         header = framing.BLOB_HEADER.pack(framing.DTYPE_CODE["f32"], 2**30, len(payload))
         body = body[:blob_at] + header + payload
-        tracemalloc.start()
-        try:
+        with traced_peak() as trace:
             alive = conn.dispatch(FrameType.RESULT, body)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert alive is False
         error = framing.unpack_error(stub.frames()[0][2])
         assert error.code == ErrorCode.MALFORMED_FRAME
         assert frontend.gateway.results_received() == 0
-        assert peak <= 2 * (framing.FRAME_HEADER.size + len(body))
+        assert trace.peak <= 2 * (framing.FRAME_HEADER.size + len(body))
 
     def test_zero_batch_size_result_is_malformed(self):
         """``batch_size`` MUST be ≥ 1 (docs/protocol.md §5.6): a zero is

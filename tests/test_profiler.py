@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,20 +263,17 @@ class TestColdStartSufficientStatistics:
         assert changed == expected
         assert len(expected) >= (len(xs) - 6) // refit_every - 1
 
-    def test_memory_stays_flat_as_history_grows(self):
+    def test_memory_stays_flat_as_history_grows(self, traced_peak):
         xs, ys = _catalog_sequence(100_000, seed=11)
         model = ColdStartModel(6)
         rows = list(zip(xs, ys.tolist()))
-        tracemalloc.start()
-        try:
+        with traced_peak() as trace:
             for x, y in rows[:10_000]:
                 model.append(x, y)
-            warm, _ = tracemalloc.get_traced_memory()
+            warm = trace.current()
             for x, y in rows[10_000:]:
                 model.append(x, y)
-            grown, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            grown = trace.current()
         assert model.num_samples == 100_000
         assert grown - warm < 1024
 
