@@ -1,11 +1,11 @@
 """Project-invariant linter: the coding disciplines the guarantees rest on.
 
 The repo stakes hard guarantees — bit-identical virtual-clock runs,
-thread-safe metrics/journal rings, a background checkpoint saver, a ≤5%
-WAL hot-path tax — and every one of them rests on a coding discipline
-that nothing used to enforce: one stray ``time.time()`` in a
-virtual-clock path, one unlocked mutation of a lane-shared structure, or
-one ``json.dumps`` on the fold path silently breaks the guarantee.  This
+a serving tier confined to one thread plus a background checkpoint
+saver, a ≤5% WAL hot-path tax — and every one of them rests on a coding
+discipline that nothing used to enforce: one stray ``time.time()`` in a
+virtual-clock path, one thread started beside the event loop, or one
+``json.dumps`` on the fold path silently breaks the guarantee.  This
 package checks those disciplines mechanically, as a CI gate next to ruff.
 
 Four rule families (see :mod:`repro.analysis.lint.rules_clock`,
@@ -14,8 +14,10 @@ Four rule families (see :mod:`repro.analysis.lint.rules_clock`,
 =========  ==================================================================
 ``RPR0xx``  clock discipline — no wall-clock reads/sleeps outside allowlisted
             wall-clock modules; virtual-clock code takes a clock argument
-``RPR1xx``  lock discipline — attributes declared ``# guarded-by: <lock>``
-            are only touched inside ``with self.<lock>:`` blocks
+``RPR1xx``  thread discipline — threads and locks are created only in
+            ``# repro: threads`` modules; attributes declared
+            ``# guarded-by: <lock>`` are only touched inside
+            ``with self.<lock>:`` blocks
 ``RPR2xx``  RNG discipline — no global-state randomness; only seeded
             ``numpy.random.Generator``/``default_rng`` flowing from specs
 ``RPR3xx``  hot-path purity — ``# hot-path`` functions never serialize,

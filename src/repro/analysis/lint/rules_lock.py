@@ -1,26 +1,23 @@
-"""Lock discipline (RPR1xx): annotated shared state only moves under its lock.
+"""Thread discipline (RPR1xx): threads are confined, shared state is locked.
 
-Threaded modules (metrics, observability rings, the durability saver)
-declare which instance attributes are shared across threads and which
-lock guards them:
+The serving tier runs on one thread, the event loop.  RPR103 makes that
+a checked statement: any call that creates a thread or a lock —
+``threading.Thread``/``Lock``/..., a ``ThreadPoolExecutor``,
+``asyncio.to_thread``, ``loop.run_in_executor`` — is flagged unless its
+module opts out with a ``# repro: threads`` pragma.  Reading thread
+state (``threading.get_ident``, ``active_count``) and process pools stay
+legal.
 
-* inline, on the attribute's assignment::
+A module that owns a thread (the durability manager's checkpoint saver)
+declares which instance attribute crosses threads, and which lock guards
+it, inline on the attribute's assignment::
 
-      self._events = deque()  # guarded-by: _lock
-
-  Several names (``# guarded-by: _lock, _idle``) mean the locks alias
-  one underlying mutex (a ``Condition`` built over the ``Lock``) — any
-  of them satisfies the rule.
-
-* or in a module manifest, for classes whose ``__init__`` is generated::
-
-      GUARDED_BY = {"EventJournal._events": "_lock"}
+    self._saver_error = None  # guarded-by: _saver_lock
 
 Every later read or write of a guarded attribute must then sit inside a
-``with self.<lock>:`` block (lexically — including nested functions), or
-inside a method annotated ``# holds-lock: <lock>`` (a helper documented
-as called with the lock held).  ``__init__`` is exempt: the object is
-not yet shared while it is being built.
+``with self.<lock>:`` block (lexically — including nested functions).
+``__init__`` is exempt: the object is not yet shared while it is being
+built.
 """
 
 from __future__ import annotations
@@ -33,21 +30,37 @@ from repro.analysis.lint.framework import (
     LintConfig,
     Rule,
     SourceModule,
-    dotted_name,
     register,
+    resolve_call,
 )
 
-__all__ = ["GuardedAttributeRule", "UnknownGuardLockRule"]
+__all__ = ["GuardedAttributeRule", "UnknownGuardLockRule", "ThreadConfinementRule"]
 
-_GUARDED_BY = re.compile(r"#.*guarded-by:\s*(?P<locks>[A-Za-z0-9_,\s]+)")
-_HOLDS_LOCK = re.compile(r"#.*holds-lock:\s*(?P<locks>[A-Za-z0-9_,\s]+)")
+_GUARDED_BY = re.compile(r"#.*guarded-by:\s*(?P<lock>[A-Za-z0-9_]+)")
+
+#: Canonical constructors of a thread, a thread pool or a lock.
+THREAD_CONSTRUCTORS = frozenset(
+    {
+        "threading.Thread",
+        "threading.Timer",
+        "threading.Lock",
+        "threading.RLock",
+        "threading.Condition",
+        "threading.Semaphore",
+        "threading.BoundedSemaphore",
+        "threading.Event",
+        "threading.Barrier",
+        "_thread.start_new_thread",
+        "_thread.allocate_lock",
+        "concurrent.futures.ThreadPoolExecutor",
+        "concurrent.futures.thread.ThreadPoolExecutor",
+        "multiprocessing.pool.ThreadPool",
+        "asyncio.to_thread",
+    }
+)
 
 #: Methods whose body runs before/after the object is shared.
 _EXEMPT_METHODS = frozenset({"__init__", "__new__", "__init_subclass__"})
-
-
-def _parse_locks(raw: str) -> frozenset[str]:
-    return frozenset(name.strip() for name in raw.split(",") if name.strip())
 
 
 def _self_attr(node: ast.AST) -> str | None:
@@ -61,57 +74,22 @@ def _self_attr(node: ast.AST) -> str | None:
     return None
 
 
-def _manifest(module: SourceModule) -> dict[str, frozenset[str]]:
-    """Module-level ``GUARDED_BY = {"Class.attr": "_lock"}`` entries."""
-    entries: dict[str, frozenset[str]] = {}
-    for node in module.tree.body:
-        if not (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "GUARDED_BY"
-            and isinstance(node.value, ast.Dict)
-        ):
-            continue
-        for key, value in zip(node.value.keys, node.value.values):
-            if isinstance(key, ast.Constant) and isinstance(value, ast.Constant):
-                entries[str(key.value)] = _parse_locks(str(value.value))
-    return entries
-
-
 class _ClassAudit(ast.NodeVisitor):
     """Walk one class body tracking which guard locks are lexically held."""
 
     def __init__(
-        self,
-        rule: Rule,
-        module: SourceModule,
-        guarded: dict[str, frozenset[str]],
+        self, rule: Rule, module: SourceModule, guarded: dict[str, str]
     ) -> None:
         self.rule = rule
         self.module = module
         self.guarded = guarded
-        self.held: list[frozenset[str]] = []
+        self.held: list[str] = []
         self.findings: list[Finding] = []
-
-    def _currently_held(self) -> frozenset[str]:
-        merged: set[str] = set()
-        for locks in self.held:
-            merged |= locks
-        return frozenset(merged)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         if node.name in _EXEMPT_METHODS and not self.held:
             return
-        comment = self.module.comment_on_or_above(node.lineno)
-        holds = _HOLDS_LOCK.search(comment)
-        pushed = False
-        if holds:
-            self.held.append(_parse_locks(holds.group("locks")))
-            pushed = True
         self.generic_visit(node)
-        if pushed:
-            self.held.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
@@ -120,51 +98,43 @@ class _ClassAudit(ast.NodeVisitor):
         return
 
     def visit_With(self, node: ast.With) -> None:
-        acquired: set[str] = set()
+        acquired: list[str] = []
         for item in node.items:
             # The context expression itself runs unguarded.
             self.visit(item.context_expr)
             attr = _self_attr(item.context_expr)
             if attr is not None:
-                acquired.add(attr)
+                acquired.append(attr)
             if item.optional_vars is not None:
                 self.visit(item.optional_vars)
-        self.held.append(frozenset(acquired))
+        self.held.extend(acquired)
         for statement in node.body:
             self.visit(statement)
-        self.held.pop()
+        del self.held[len(self.held) - len(acquired):]
 
     visit_AsyncWith = visit_With
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         attr = _self_attr(node)
-        if attr is not None and attr in self.guarded:
-            required = self.guarded[attr]
-            if not (required & self._currently_held()):
-                access = (
-                    "write" if isinstance(node.ctx, (ast.Store, ast.Del)) else "read"
+        lock = self.guarded.get(attr) if attr is not None else None
+        if lock is not None and lock not in self.held:
+            access = "write" if isinstance(node.ctx, (ast.Store, ast.Del)) else "read"
+            self.findings.append(
+                self.rule.finding(
+                    self.module,
+                    node,
+                    f"{access} of `self.{attr}` (guarded-by {lock}) "
+                    f"outside `with self.{lock}:`; acquire the lock",
                 )
-                lock_names = " or ".join(sorted(required))
-                self.findings.append(
-                    self.rule.finding(
-                        self.module,
-                        node,
-                        f"{access} of `self.{attr}` (guarded-by {lock_names}) "
-                        f"outside `with self.{lock_names.split(' or ')[0]}:`; "
-                        "acquire the lock or annotate the helper "
-                        f"`# holds-lock: {sorted(required)[0]}`",
-                    )
-                )
+            )
         self.generic_visit(node)
 
 
 def _class_guard_map(
-    module: SourceModule,
-    cls: ast.ClassDef,
-    manifest: dict[str, frozenset[str]],
-) -> tuple[dict[str, frozenset[str]], dict[str, int], set[str]]:
-    """(attr -> locks, annotation lines, attrs assigned anywhere in class)."""
-    guarded: dict[str, frozenset[str]] = {}
+    module: SourceModule, cls: ast.ClassDef
+) -> tuple[dict[str, str], dict[str, int], set[str]]:
+    """(attr -> lock, annotation lines, attrs assigned anywhere in class)."""
+    guarded: dict[str, str] = {}
     annotation_lines: dict[str, int] = {}
     assigned: set[str] = set()
     for node in ast.walk(cls):
@@ -178,17 +148,10 @@ def _class_guard_map(
             if attr is None:
                 continue
             assigned.add(attr)
-            comment = module.comments.get(node.lineno, "")
-            match = _GUARDED_BY.search(comment)
+            match = _GUARDED_BY.search(module.comments.get(node.lineno, ""))
             if match:
-                locks = _parse_locks(match.group("locks"))
-                guarded[attr] = guarded.get(attr, frozenset()) | locks
+                guarded[attr] = match.group("lock")
                 annotation_lines.setdefault(attr, node.lineno)
-    for key, locks in manifest.items():
-        owner, _, attr = key.rpartition(".")
-        if owner in ("", cls.name):
-            guarded[attr] = guarded.get(attr, frozenset()) | locks
-            annotation_lines.setdefault(attr, cls.lineno)
     return guarded, annotation_lines, assigned
 
 
@@ -198,12 +161,11 @@ class GuardedAttributeRule(Rule):
     summary = "guarded-by attribute accessed outside its `with <lock>` block"
 
     def run(self, module: SourceModule, config: LintConfig) -> list[Finding]:
-        manifest = _manifest(module)
         findings: list[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            guarded, _, _ = _class_guard_map(module, node, manifest)
+            guarded, _, _ = _class_guard_map(module, node)
             if not guarded:
                 continue
             audit = _ClassAudit(self, module, guarded)
@@ -219,28 +181,67 @@ class UnknownGuardLockRule(Rule):
     summary = "guarded-by names a lock the class never assigns"
 
     def run(self, module: SourceModule, config: LintConfig) -> list[Finding]:
-        manifest = _manifest(module)
         findings: list[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            guarded, lines, assigned = _class_guard_map(module, node, manifest)
-            for attr, locks in sorted(guarded.items()):
-                missing = sorted(lock for lock in locks if lock not in assigned)
-                if missing:
+            guarded, lines, assigned = _class_guard_map(module, node)
+            for attr, lock in sorted(guarded.items()):
+                if lock not in assigned:
                     findings.append(
                         Finding(
                             file=module.path,
                             rule=self.code,
-                            line=lines.get(attr, node.lineno),
+                            line=lines[attr],
                             col=node.col_offset,
                             symbol=module.symbol_for(node),
                             message=(
-                                f"`self.{attr}` declares guarded-by "
-                                f"{', '.join(missing)} but {node.name} never "
-                                "assigns that lock; fix the annotation or "
-                                "create the lock in __init__"
+                                f"`self.{attr}` declares guarded-by {lock} "
+                                f"but {node.name} never assigns that lock; "
+                                "fix the annotation or create the lock in "
+                                "__init__"
                             ),
                         )
                     )
         return findings
+
+
+def _thread_constructors(module: SourceModule, node: ast.AST) -> list[str]:
+    """Thread/lock constructors that ``node`` calls (or a class subclasses)."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "run_in_executor":
+            return ["run_in_executor"]
+        calls = [node]
+    elif isinstance(node, ast.ClassDef):
+        # ``class Saver(threading.Thread)`` builds threads through its own
+        # name; flag the subclass where it is declared.
+        calls = [ast.Call(func=base, args=[], keywords=[]) for base in node.bases]
+    else:
+        return []
+    found: list[str] = []
+    for call in calls:
+        target = resolve_call(module, call)
+        if target is not None and target in THREAD_CONSTRUCTORS:
+            found.append(target)
+    return found
+
+
+@register
+class ThreadConfinementRule(Rule):
+    code = "RPR103"
+    summary = "thread or lock created outside a `# repro: threads` module"
+
+    def run(self, module: SourceModule, config: LintConfig) -> list[Finding]:
+        if "threads" in module.pragmas:
+            return []
+        return [
+            self.finding(
+                module,
+                node,
+                f"`{target}` starts a thread or makes a lock in the thread-"
+                "confined tier; run the work on the event loop, or mark the "
+                "module that owns a thread with `# repro: threads`",
+            )
+            for node in ast.walk(module.tree)
+            for target in _thread_constructors(module, node)
+        ]

@@ -1,3 +1,4 @@
+# repro: threads
 """Per-shard durability lifecycle: attach, cadence, retire, restore.
 
 ``DurabilityManager`` owns one :class:`ShardDurability` bundle (WAL +
@@ -21,6 +22,10 @@ The gateway drives it:
   factory-built server, then reattaches the same WAL directory so
   post-recovery history extends the old one and revives the shard in
   the detector.
+
+The ``# repro: threads`` pragma above marks this module as the one place
+the tier starts a thread: the ``ckpt-saver`` that writes cadence
+checkpoints off the delivery path (lint rule RPR103).
 """
 
 from __future__ import annotations

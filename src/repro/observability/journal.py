@@ -9,16 +9,15 @@ exports as JSONL for offline analysis (``repro trace-report``).
 
 The journal is a ring: the most recent ``capacity`` records are retained,
 but per-kind counts are monotone, so "how many sheds happened" survives
-eviction even when the shed records themselves rotated out.  ``record``
-is thread-safe, so a journal can be shared beyond the gateway caller's
-thread, which writes every serving-tier record.
+eviction even when the shed records themselves rotated out.  The journal
+is loop-confined: the event loop writes every serving-tier record, so
+``record`` takes no lock.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
@@ -195,7 +194,7 @@ class FrontendDrainRecord:
 
 
 class EventJournal:
-    """Append-bounded, thread-safe ring of typed tier events.
+    """Append-bounded, loop-confined ring of typed tier events.
 
     Beyond the in-memory ring, :meth:`stream_to` arms a write-through
     JSONL sink: every subsequent record is appended (and optionally
@@ -207,30 +206,28 @@ class EventJournal:
     def __init__(self, capacity: int = 8192) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self._events: deque = deque(maxlen=capacity)  # guarded-by: _lock
-        self._counts: dict[str, int] = {}  # guarded-by: _lock
-        self._recorded = 0  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self._stream = None  # guarded-by: _lock
-        self._stream_fsync = False  # guarded-by: _lock
+        self._events: deque = deque(maxlen=capacity)
+        self._counts: dict[str, int] = {}
+        self._recorded = 0
+        self._stream = None
+        self._stream_fsync = False
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
     def record(self, event) -> None:
         """Append one typed record (anything with ``kind`` and fields)."""
-        with self._lock:
-            self._events.append(event)
-            self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
-            self._recorded += 1
-            if self._stream is not None:
-                line = json.dumps(
-                    {"kind": event.kind, **asdict(event)}, default=_jsonable
-                )
-                self._stream.write(line + "\n")
-                self._stream.flush()
-                if self._stream_fsync:
-                    os.fsync(self._stream.fileno())
+        self._events.append(event)
+        self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
+        self._recorded += 1
+        if self._stream is not None:
+            line = json.dumps(
+                {"kind": event.kind, **asdict(event)}, default=_jsonable
+            )
+            self._stream.write(line + "\n")
+            self._stream.flush()
+            if self._stream_fsync:
+                os.fsync(self._stream.fileno())
 
     def stream_to(self, path, fsync: bool = False) -> None:
         """Write every future record through to ``path`` as it happens.
@@ -243,18 +240,16 @@ class EventJournal:
         parent = os.path.dirname(os.fspath(path))
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with self._lock:
-            if self._stream is not None:
-                self._stream.close()
-            self._stream = open(path, "a", encoding="utf-8")
-            self._stream_fsync = fsync
+        if self._stream is not None:
+            self._stream.close()
+        self._stream = open(path, "a", encoding="utf-8")
+        self._stream_fsync = fsync
 
     def close_stream(self) -> None:
         """Stop write-through streaming (the ring keeps recording)."""
-        with self._lock:
-            if self._stream is not None:
-                self._stream.close()
-                self._stream = None
+        if self._stream is not None:
+            self._stream.close()
+            self._stream = None
 
     def admission_shed(
         self,
@@ -435,19 +430,16 @@ class EventJournal:
     @property
     def events(self) -> list:
         """The retained records, oldest first (a copy)."""
-        with self._lock:
-            return list(self._events)
+        return list(self._events)
 
     @property
     def recorded(self) -> int:
         """Records ever journaled (not capped by the ring)."""
-        with self._lock:
-            return self._recorded
+        return self._recorded
 
     def counts_by_kind(self) -> dict[str, int]:
         """Monotone per-kind totals (survive ring eviction)."""
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     def to_dicts(self) -> list[dict]:
         return [

@@ -27,7 +27,6 @@ comparison.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -152,29 +151,24 @@ class SpanCollector:
     def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self._traces: deque[FinishedTrace] = deque(maxlen=capacity)  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self._finished = 0  # guarded-by: _lock
+        self._traces: deque[FinishedTrace] = deque(maxlen=capacity)
+        self._finished = 0
 
     def add(self, trace: FinishedTrace) -> None:
-        with self._lock:
-            self._traces.append(trace)
-            self._finished += 1
+        self._traces.append(trace)
+        self._finished += 1
 
     @property
     def traces(self) -> list[FinishedTrace]:
-        with self._lock:
-            return list(self._traces)
+        return list(self._traces)
 
     @property
     def finished(self) -> int:
         """Traces ever finished (not capped by the ring)."""
-        with self._lock:
-            return self._finished
+        return self._finished
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
+        return len(self._traces)
 
 
 class UploadTracer:

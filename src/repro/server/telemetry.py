@@ -7,11 +7,9 @@ minimal metrics registry the rest of the repo reports into — enough to
 drive the EXPERIMENTS.md summaries and the CLI status output without any
 external monitoring dependency.
 
-Every metric guards its mutable state with its own lock.  The serving
-tier updates metrics from one thread (runtime lane jobs run inline on the
-gateway caller's), so the locks are uncontended there; they keep a
-registry safe to share with other threads, and they protect only cheap
-bookkeeping — never the decode/fold work around it.
+Every metric is loop-confined: the serving tier updates and reads it
+from one thread (runtime lane jobs run inline on the event loop), so no
+metric takes a lock.  Lint rule RPR103 keeps new threads out of the tier.
 
 For machine-readable consumption (Prometheus text exposition, JSON
 snapshots) see :mod:`repro.observability.exporters`, which renders the
@@ -20,7 +18,6 @@ whole registry through the accessors this module exposes.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -45,20 +42,17 @@ class Counter:
     def __init__(self, name: str, description: str = "") -> None:
         self.name = name
         self.description = description
-        self._value = 0  # guarded-by: _lock
-        self._lock = threading.Lock()
+        self._value = 0
 
     # hot-path
     def increment(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only move forward")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
+        return self._value
 
 
 class Gauge:
@@ -67,25 +61,21 @@ class Gauge:
     def __init__(self, name: str, description: str = "") -> None:
         self.name = name
         self.description = description
-        self._value = 0.0  # guarded-by: _lock
-        self._lock = threading.Lock()
+        self._value = 0.0
 
     def set(self, value: float) -> None:
         if not np.isfinite(value):
             raise ValueError("gauge values must be finite")
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)
 
     def add(self, delta: float) -> None:
         if not np.isfinite(delta):
             raise ValueError("gauge values must be finite")
-        with self._lock:
-            self._value = float(self._value + delta)
+        self._value = float(self._value + delta)
 
     @property
     def value(self) -> float:
-        with self._lock:
-            return self._value
+        return self._value
 
 
 class Summary:
@@ -106,17 +96,15 @@ class Summary:
             raise ValueError("window must be positive")
         self.name = name
         self.description = description
-        self._values: deque[float] = deque(maxlen=window)  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self._cache: np.ndarray | None = None  # guarded-by: _lock
+        self._values: deque[float] = deque(maxlen=window)
+        self._cache: np.ndarray | None = None
 
     # hot-path
     def observe(self, value: float) -> None:
         if not np.isfinite(value):
             raise ValueError("summary observations must be finite")
-        with self._lock:
-            self._values.append(float(value))
-            self._cache = None
+        self._values.append(float(value))
+        self._cache = None
 
     # hot-path
     def observe_many(self, values: np.ndarray) -> None:
@@ -124,21 +112,18 @@ class Summary:
         values = np.asarray(values, dtype=np.float64)
         if values.size and not np.isfinite(values).all():
             raise ValueError("summary observations must be finite")
-        with self._lock:
-            self._values.extend(values.tolist())
-            self._cache = None
+        self._values.extend(values.tolist())
+        self._cache = None
 
     @property
     def count(self) -> int:
-        with self._lock:
-            return len(self._values)
+        return len(self._values)
 
     def _materialized(self) -> np.ndarray:
         """The window as one array, cached until the next observe."""
-        with self._lock:
-            if self._cache is None:
-                self._cache = np.fromiter(self._values, dtype=np.float64)
-            return self._cache
+        if self._cache is None:
+            self._cache = np.fromiter(self._values, dtype=np.float64)
+        return self._cache
 
     def percentile(self, q: float) -> float:
         """q-th percentile of the window; NaN when empty."""
@@ -214,13 +199,12 @@ class Histogram:
         self.name = name
         self.description = description
         # ``_bounds`` is immutable after construction; only the running
-        # tallies are lane-shared mutable state.
+        # tallies change.
         self._bounds = bounds
-        self._counts = np.zeros(bounds.size + 1, dtype=np.int64)  # guarded-by: _lock
-        self._sum = 0.0  # guarded-by: _lock
-        self._min = float("inf")  # guarded-by: _lock
-        self._max = float("-inf")  # guarded-by: _lock
-        self._lock = threading.Lock()
+        self._counts = np.zeros(bounds.size + 1, dtype=np.int64)
+        self._sum = 0.0
+        self._min = float("inf")
+        self._max = float("-inf")
 
     # hot-path
     def observe(self, value: float) -> None:
@@ -228,13 +212,12 @@ class Histogram:
             raise ValueError("histogram observations must be finite")
         value = float(value)
         index = int(np.searchsorted(self._bounds, value, side="left"))
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+        self._counts[index] += 1
+        self._sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     # hot-path
     def observe_many(self, values: np.ndarray) -> None:
@@ -246,16 +229,14 @@ class Histogram:
             raise ValueError("histogram observations must be finite")
         indices = np.searchsorted(self._bounds, values, side="left")
         folded = np.bincount(indices, minlength=self._bounds.size + 1)
-        with self._lock:
-            self._counts += folded
-            self._sum += float(values.sum())
-            self._min = min(self._min, float(values.min()))
-            self._max = max(self._max, float(values.max()))
+        self._counts += folded
+        self._sum += float(values.sum())
+        self._min = min(self._min, float(values.min()))
+        self._max = max(self._max, float(values.max()))
 
     @property
     def count(self) -> int:
-        with self._lock:
-            return int(self._counts.sum())
+        return int(self._counts.sum())
 
     @property
     def bounds(self) -> np.ndarray:
@@ -264,27 +245,20 @@ class Histogram:
     @property
     def bucket_counts(self) -> np.ndarray:
         """Per-bucket counts; the last entry is the overflow bucket."""
-        with self._lock:
-            return self._counts.copy()
+        return self._counts.copy()
 
     def sum(self) -> float:
-        with self._lock:
-            return self._sum
+        return self._sum
 
     def mean(self) -> float:
-        with self._lock:
-            total = int(self._counts.sum())
-            if total == 0:
-                return float("nan")
-            return self._sum / total
+        total = self.count
+        return self._sum / total if total else float("nan")
 
     def max(self) -> float:
-        with self._lock:
-            return self._max if self._counts.sum() else float("nan")
+        return self._max if self.count else float("nan")
 
     def min(self) -> float:
-        with self._lock:
-            return self._min if self._counts.sum() else float("nan")
+        return self._min if self.count else float("nan")
 
     def count_le(self, bound: float) -> int:
         """Observations at or below ``bound`` (exact at bucket bounds).
@@ -297,16 +271,14 @@ class Histogram:
         count is rounded down to the nearest bucket edge.
         """
         index = int(np.searchsorted(self._bounds, bound, side="right"))
-        with self._lock:
-            return int(self._counts[:index].sum())
+        return int(self._counts[:index].sum())
 
     def percentile(self, q: float) -> float:
         """Interpolated percentile from the bucket counts; NaN when empty."""
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
-        with self._lock:
-            counts = self._counts.copy()
-            low, high = self._min, self._max
+        counts = self._counts
+        low, high = self._min, self._max
         total = counts.sum()
         if total == 0:
             return float("nan")
@@ -342,29 +314,25 @@ class RejectionStats:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.recent: deque = deque(maxlen=capacity)
-        self._counts: dict = {}  # guarded-by: _lock
-        self._total = 0  # guarded-by: _lock
-        self._lock = threading.Lock()
+        self._counts: dict = {}
+        self._total = 0
 
     def record(self, rejection) -> None:
         """Fold one rejection (anything with a ``.reason``) into the stats."""
         reason = rejection.reason
-        with self._lock:
-            self.recent.append(rejection)
-            self._counts[reason] = self._counts.get(reason, 0) + 1
-            self._total += 1
+        self.recent.append(rejection)
+        self._counts[reason] = self._counts.get(reason, 0) + 1
+        self._total += 1
 
     @property
     def counts(self) -> dict:
         """Per-reason totals (a copy; reasons are enum members)."""
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     @property
     def total(self) -> int:
         """All rejections ever recorded (not capped by the ring)."""
-        with self._lock:
-            return self._total
+        return self._total
 
     def breakdown(self) -> str:
         """``reason=count`` summary line, stable order; 'none' when empty."""
@@ -400,39 +368,35 @@ class MetricsRegistry:
     """Namespace of metrics with idempotent creation and a text report."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}  # guarded-by: _lock
-        self._gauges: dict[str, Gauge] = {}  # guarded-by: _lock
-        self._summaries: dict[str, Summary] = {}  # guarded-by: _lock
-        self._histograms: dict[str, Histogram] = {}  # guarded-by: _lock
+        self._counters: dict[str, Counter] = {}
+        self._gauges: dict[str, Gauge] = {}
+        self._summaries: dict[str, Summary] = {}
+        self._histograms: dict[str, Histogram] = {}
         # Per-reason rejection breakdowns, attached by name: the source is
         # a RejectionStats (read live) or a zero-arg callable returning a
         # {reason: count} mapping (e.g. the gateway's tier-wide merge).
-        self._rejections: dict[str, object] = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
+        self._rejections: dict[str, object] = {}
 
     def counter(self, name: str, description: str = "") -> Counter:
         """Get or create a counter (same name → same object)."""
-        with self._lock:
-            if name not in self._counters:
-                self._check_unique(name, self._counters)
-                self._counters[name] = Counter(name, description)
-            return self._counters[name]
+        if name not in self._counters:
+            self._check_unique(name, self._counters)
+            self._counters[name] = Counter(name, description)
+        return self._counters[name]
 
     def gauge(self, name: str, description: str = "") -> Gauge:
         """Get or create a gauge."""
-        with self._lock:
-            if name not in self._gauges:
-                self._check_unique(name, self._gauges)
-                self._gauges[name] = Gauge(name, description)
-            return self._gauges[name]
+        if name not in self._gauges:
+            self._check_unique(name, self._gauges)
+            self._gauges[name] = Gauge(name, description)
+        return self._gauges[name]
 
     def summary(self, name: str, description: str = "", window: int = 100_000) -> Summary:
         """Get or create a summary."""
-        with self._lock:
-            if name not in self._summaries:
-                self._check_unique(name, self._summaries)
-                self._summaries[name] = Summary(name, description, window)
-            return self._summaries[name]
+        if name not in self._summaries:
+            self._check_unique(name, self._summaries)
+            self._summaries[name] = Summary(name, description, window)
+        return self._summaries[name]
 
     def histogram(
         self,
@@ -441,11 +405,10 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
         """Get or create a fixed-bucket histogram."""
-        with self._lock:
-            if name not in self._histograms:
-                self._check_unique(name, self._histograms)
-                self._histograms[name] = Histogram(name, description, buckets)
-            return self._histograms[name]
+        if name not in self._histograms:
+            self._check_unique(name, self._histograms)
+            self._histograms[name] = Histogram(name, description, buckets)
+        return self._histograms[name]
 
     def attach_rejections(
         self, name: str, source: RejectionStats | Callable[[], dict]
@@ -459,11 +422,9 @@ class MetricsRegistry:
         """
         if not (isinstance(source, RejectionStats) or callable(source)):
             raise TypeError("source must be a RejectionStats or a callable")
-        with self._lock:
-            self._check_unique(name, self._rejections)
-            self._rejections[name] = source
+        self._check_unique(name, self._rejections)
+        self._rejections[name] = source
 
-    # holds-lock: _lock
     def _check_unique(self, name: str, own_kind: dict) -> None:
         for registry in (
             self._counters,
@@ -480,32 +441,24 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     @property
     def counters(self) -> dict[str, Counter]:
-        with self._lock:
-            return dict(self._counters)
+        return dict(self._counters)
 
     @property
     def gauges(self) -> dict[str, Gauge]:
-        with self._lock:
-            return dict(self._gauges)
+        return dict(self._gauges)
 
     @property
     def summaries(self) -> dict[str, Summary]:
-        with self._lock:
-            return dict(self._summaries)
+        return dict(self._summaries)
 
     @property
     def histograms(self) -> dict[str, Histogram]:
-        with self._lock:
-            return dict(self._histograms)
+        return dict(self._histograms)
 
     def rejection_breakdowns(self) -> dict[str, dict]:
         """Resolve every attached rejection source to live counts."""
-        with self._lock:
-            sources = dict(self._rejections)
         resolved: dict[str, dict] = {}
-        # Sources resolve OUTSIDE the registry lock: a RejectionStats
-        # takes its own lock and a callable may reach into the gateway.
-        for name, source in sources.items():
+        for name, source in self._rejections.items():
             if isinstance(source, RejectionStats):
                 resolved[name] = source.counts
             else:

@@ -274,9 +274,13 @@ class TestClockRules:
 
 
 class TestLockRules:
+    # The fixtures that build a lock carry the ``# repro: threads`` pragma:
+    # only a module that opts out of thread confinement (RPR103) owns one.
+
     # -- positive: guarded attributes touched outside their lock ---------
     def test_unlocked_read_flagged(self):
         src = """\
+            # repro: threads
             import threading
             class Ring:
                 def __init__(self):
@@ -289,6 +293,7 @@ class TestLockRules:
 
     def test_unlocked_write_flagged(self):
         src = """\
+            # repro: threads
             import threading
             class Ring:
                 def __init__(self):
@@ -300,19 +305,6 @@ class TestLockRules:
         # AugAssign touches the attribute as both read and write context.
         assert "RPR101" in codes(src)
 
-    def test_manifest_guard_flagged(self):
-        src = """\
-            import threading
-            GUARDED_BY = {"Ring._events": "_lock"}
-            class Ring:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._events = []
-                def peek(self):
-                    return list(self._events)
-        """
-        assert codes(src) == ["RPR101"]
-
     def test_unknown_lock_name_flagged(self):
         src = """\
             class Ring:
@@ -321,9 +313,10 @@ class TestLockRules:
         """
         assert codes(src) == ["RPR102"]
 
-    # -- negative: with-blocks, holds-lock helpers, aliases, __init__ ----
+    # -- negative: with-blocks, __init__, unannotated attributes ---------
     def test_with_block_access_clean(self):
         src = """\
+            # repro: threads
             import threading
             class Ring:
                 def __init__(self):
@@ -335,41 +328,130 @@ class TestLockRules:
         """
         assert codes(src) == []
 
-    def test_holds_lock_helper_clean(self):
-        src = """\
-            import threading
-            class Ring:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._events = []  # guarded-by: _lock
-                # holds-lock: _lock
-                def _drain(self):
-                    self._events.clear()
-        """
-        assert codes(src) == []
-
-    def test_lock_alias_clean(self):
-        src = """\
-            import threading
-            class Pool:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._idle = threading.Condition(self._lock)
-                    self._lanes = {}  # guarded-by: _lock, _idle
-                def wake(self):
-                    with self._idle:
-                        self._lanes.clear()
-        """
-        assert codes(src) == []
-
     def test_init_exempt(self):
         src = """\
+            # repro: threads
             import threading
             class Ring:
                 def __init__(self):
                     self._lock = threading.Lock()
                     self._events = []  # guarded-by: _lock
                     self._events.append(0)
+        """
+        assert codes(src) == []
+
+    def test_unannotated_attribute_free(self):
+        src = """\
+            # repro: threads
+            import threading
+            class Saver:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._error = None  # guarded-by: _lock
+                    self._saved = 0
+                def done(self):
+                    self._saved += 1
+                    with self._lock:
+                        self._error = None
+        """
+        assert codes(src) == []
+
+
+class TestThreadRules:
+    # -- positive: threads, pools and locks outside a pragma module ------
+    def test_thread_flagged(self):
+        src = """\
+            import threading
+            def spawn(fn):
+                threading.Thread(target=fn).start()
+        """
+        assert codes(src) == ["RPR103"]
+
+    def test_aliased_lock_flagged(self):
+        src = """\
+            from threading import Lock as Mutex
+            import threading as th
+            class Ring:
+                def __init__(self):
+                    self._lock = Mutex()
+                    self._idle = th.Condition()
+        """
+        assert codes(src) == ["RPR103", "RPR103"]
+
+    def test_run_in_executor_flagged(self):
+        src = """\
+            import asyncio
+            async def decode(blob):
+                loop = asyncio.get_running_loop()
+                return await loop.run_in_executor(None, bytes, blob)
+        """
+        assert codes(src) == ["RPR103"]
+
+    def test_thread_pool_and_to_thread_flagged(self):
+        src = """\
+            import asyncio
+            from concurrent import futures
+            async def fan_out(fn):
+                pool = futures.ThreadPoolExecutor(max_workers=2)
+                return pool, await asyncio.to_thread(fn)
+        """
+        assert codes(src) == ["RPR103", "RPR103"]
+
+    def test_thread_subclass_flagged(self):
+        src = """\
+            import threading
+            class Saver(threading.Thread):
+                pass
+        """
+        assert codes(src) == ["RPR103"]
+
+    def test_lock_added_to_telemetry_flagged(self):
+        """A copy of the metrics module that grows a lock back is flagged."""
+        path = REPO_ROOT / "src" / "repro" / "server" / "telemetry.py"
+        source = path.read_text(encoding="utf-8")
+        assert codes(source, path="src/repro/server/telemetry.py") == []
+        anchor = "        self._value = 0\n"
+        assert anchor in source
+        relocked = "import threading\n" + source.replace(
+            anchor, anchor + "        self._lock = threading.Lock()\n", 1
+        )
+        assert codes(relocked, path="src/repro/server/telemetry.py") == ["RPR103"]
+
+    # -- negative: reads of thread state, process pools, the pragma ------
+    def test_get_ident_and_active_count_allowed(self):
+        src = """\
+            import threading
+            def owner_check(owner):
+                return threading.get_ident() == owner and threading.active_count()
+        """
+        assert codes(src) == []
+
+    def test_process_pool_allowed(self):
+        src = """\
+            from concurrent.futures import ProcessPoolExecutor
+            def fan_out(fn, jobs):
+                with ProcessPoolExecutor(max_workers=2) as pool:
+                    return list(pool.map(fn, jobs))
+        """
+        assert codes(src) == []
+
+    def test_threads_pragma_allowlists_module(self):
+        src = """\
+            # repro: threads
+            import threading
+            def spawn(fn):
+                threading.Thread(target=fn, name="ckpt-saver").start()
+                return threading.Lock()
+        """
+        assert codes(src) == []
+
+    def test_asyncio_primitives_allowed(self):
+        src = """\
+            import asyncio
+            class Window:
+                def __init__(self):
+                    self._ready = asyncio.Event()
+                    self._gate = asyncio.Lock()
         """
         assert codes(src) == []
 

@@ -3,10 +3,55 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs the package as ``python -m repro list`` would, then reports what
+# the entry point left in the environment and whether numpy was loaded
+# before it ran (the pin only takes effect when it was not).
+_MAIN_PROBE = """\
+import os, runpy, sys
+import repro
+early_numpy = "numpy" in sys.modules
+sys.argv = ["repro", "list"]
+try:
+    runpy.run_module("repro", run_name="__main__")
+except SystemExit:
+    pass
+print(early_numpy, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def _probe_main(blas_threads: str | None) -> list[str]:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    out = subprocess.run(
+        [sys.executable, "-c", _MAIN_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    return out.splitlines()[-1].split()
+
+
+class TestBlasPin:
+    def test_main_pins_one_blas_thread(self):
+        assert _probe_main(None) == ["False", "1"]
+
+    def test_main_keeps_an_explicit_value(self):
+        assert _probe_main("3") == ["False", "3"]
 
 
 class TestParser:

@@ -16,10 +16,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.doccheck import check_paths, github_slug, heading_slugs
+from repro.analysis.lint.framework import rule_table
 from repro.frontend import framing
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PROTOCOL = REPO_ROOT / "docs" / "protocol.md"
+ARCHITECTURE = REPO_ROOT / "docs" / "architecture.md"
 
 _TAG = re.compile(r"<!--\s*conformance:\s*([\w-]+)\s*-->")
 
@@ -172,3 +174,13 @@ class TestDocLinks:
         doc = tmp_path / "d.md"
         doc.write_text("```\n[x](missing.md)\n```\n")
         assert check_paths([doc]) == []
+
+
+class TestLintRuleTable:
+    def test_architecture_rule_table_lists_every_registered_rule(self):
+        """docs/architecture.md §4 names exactly the rules repro-lint runs."""
+        text = ARCHITECTURE.read_text(encoding="utf-8")
+        section = text.split("## 4. ", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\|\s*(RPR\d{3})\s*\|", section, re.MULTILINE)
+        assert len(documented) == len(set(documented))
+        assert sorted(documented) == [code for code, _ in rule_table()]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import threading
 import zlib
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 
 from repro.core import make_fedavg
 from repro.devices.device import DeviceFeatures
+from repro.durability import DurabilitySpec
 from repro.frontend import framing
 from repro.frontend.framing import (
     ErrorCode,
@@ -78,7 +80,7 @@ def _result(worker_id: int = 0, gradient: np.ndarray | None = None) -> TaskResul
     )
 
 
-def _gateway(**config_kwargs) -> Gateway:
+def _gateway(durability: DurabilitySpec | None = None, **config_kwargs) -> Gateway:
     config_kwargs.setdefault("batch_size", 1)
     config_kwargs.setdefault("batch_deadline_s", 1e9)
     config_kwargs.setdefault("sync_every_s", 1e9)
@@ -90,6 +92,7 @@ def _gateway(**config_kwargs) -> Gateway:
             SLO(time_seconds=3.0),
         ),
         GatewayConfig(**config_kwargs),
+        durability=durability,
     )
 
 
@@ -612,6 +615,38 @@ class TestLoopback:
         assert report.stats.acked <= report.results_received
         assert report.stats.acked > 0
         assert gateway.metrics.counter("frontend.connections").value == 12
+
+    def test_only_the_checkpoint_saver_starts_a_thread(self, monkeypatch, tmp_path):
+        """Run-time twin of lint rule RPR103: it also sees threads that a
+        library or a ``run_in_executor`` call would start."""
+        started: list[str] = []
+        start = threading.Thread.start
+
+        def recording_start(thread: threading.Thread) -> None:
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        gateway = _gateway(
+            durability=DurabilitySpec(tmp_path, checkpoint_every_updates=4)
+        )
+        config = LoadGenConfig(
+            devices=4,
+            mode="push",
+            uploads_per_device=6,
+            window=2,
+            dimension=DIM,
+            num_labels=NUM_LABELS,
+            seed=3,
+        )
+        try:
+            report = asyncio.run(run_loopback(gateway, config))
+        finally:
+            gateway.durability.close()
+        assert report.results_applied == report.results_received == 24
+        assert gateway.durability.checkpoints_written > 0
+        assert set(started) <= {"ckpt-saver"}
+        assert "ckpt-saver" in started
 
 
 # ---------------------------------------------------------------------------

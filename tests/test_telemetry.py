@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,70 +187,6 @@ class TestRejectionStats:
         assert registry.rejection_breakdowns()["live"] == {"overloaded": 3}
         with pytest.raises(TypeError):
             registry.attach_rejections("bad", object())
-
-
-class TestThreadSafety:
-    def test_counter_hammered_from_eight_threads(self):
-        counter = Counter("hot")
-        increments_per_thread = 20_000
-
-        def hammer():
-            for _ in range(increments_per_thread):
-                counter.increment()
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.value == 8 * increments_per_thread
-
-    def test_gauge_and_summary_concurrent_updates(self):
-        gauge = Gauge("depth")
-        summary = Summary("latency")
-        per_thread = 2_000
-
-        def work(k: int):
-            for i in range(per_thread):
-                gauge.add(1.0)
-                summary.observe(float(k * per_thread + i))
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert gauge.value == 4 * per_thread
-        assert summary.count == 4 * per_thread
-
-    def test_histogram_concurrent_observe(self):
-        hist = Histogram("h", buckets=(1.0, 2.0, 4.0))
-        per_thread = 5_000
-
-        def work():
-            for i in range(per_thread):
-                hist.observe(float(i % 5))
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert hist.count == 4 * per_thread
-
-    def test_registry_factories_race_to_one_object(self):
-        registry = MetricsRegistry()
-        seen = []
-
-        def grab():
-            seen.append(registry.counter("shared"))
-
-        threads = [threading.Thread(target=grab) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(c is seen[0] for c in seen)
 
 
 class TestSummaryCache:
